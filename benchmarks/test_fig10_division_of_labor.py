@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.harness import figure10_division_of_labor
+from repro.harness import run_experiment
 
 
 @pytest.mark.benchmark(group="figure10")
 def test_figure10_specint(benchmark, suite_subsets, save_report):
     spec, _ = suite_subsets
     report = benchmark.pedantic(
-        figure10_division_of_labor, args=("specint",),
-        kwargs={"workloads": spec}, rounds=1, iterations=1,
+        run_experiment, args=("fig10",),
+        kwargs={"suite": "specint", "workloads": spec},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig10_specint.txt")
     # Paper: RENO beats loads-only integration handily, and adding a full IT
@@ -23,8 +24,9 @@ def test_figure10_specint(benchmark, suite_subsets, save_report):
 def test_figure10_mediabench(benchmark, suite_subsets, save_report):
     _, media = suite_subsets
     report = benchmark.pedantic(
-        figure10_division_of_labor, args=("mediabench",),
-        kwargs={"workloads": media}, rounds=1, iterations=1,
+        run_experiment, args=("fig10",),
+        kwargs={"suite": "mediabench", "workloads": media},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig10_mediabench.txt")
     assert report.data[("avg", "RENO")] >= report.data[("avg", "LoadsInteg")]

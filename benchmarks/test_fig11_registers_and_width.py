@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.harness import figure11_issue_width, figure11_register_file
+from repro.harness import run_experiment
 
 
 @pytest.mark.benchmark(group="figure11")
 def test_figure11_register_file_specint(benchmark, suite_subsets, save_report):
     spec, _ = suite_subsets
     report = benchmark.pedantic(
-        figure11_register_file, args=("specint",),
-        kwargs={"workloads": spec}, rounds=1, iterations=1,
+        run_experiment, args=("fig11_regs",),
+        kwargs={"suite": "specint", "workloads": spec},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig11_registers_specint.txt")
     # Paper: CF+ME alone compensates for a 160 -> 112 reduction.
@@ -23,8 +24,9 @@ def test_figure11_register_file_specint(benchmark, suite_subsets, save_report):
 def test_figure11_issue_width_mediabench(benchmark, suite_subsets, save_report):
     _, media = suite_subsets
     report = benchmark.pedantic(
-        figure11_issue_width, args=("mediabench",),
-        kwargs={"workloads": media}, rounds=1, iterations=1,
+        run_experiment, args=("fig11_width",),
+        kwargs={"suite": "mediabench", "workloads": media},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig11_width_mediabench.txt")
     # Narrowing issue hurts the baseline; RENO recovers part of the loss.

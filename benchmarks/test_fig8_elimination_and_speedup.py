@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.harness import figure8_elimination_and_speedup
+from repro.harness import run_experiment
 
 
 @pytest.mark.benchmark(group="figure8")
 def test_figure8_specint(benchmark, suite_subsets, save_report):
     spec, _ = suite_subsets
     report = benchmark.pedantic(
-        figure8_elimination_and_speedup, args=("specint",),
-        kwargs={"workloads": spec}, rounds=1, iterations=1,
+        run_experiment, args=("fig8",),
+        kwargs={"suite": "specint", "workloads": spec},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig8_specint.txt")
     mean = report.data["amean"]
@@ -23,8 +24,9 @@ def test_figure8_specint(benchmark, suite_subsets, save_report):
 def test_figure8_mediabench(benchmark, suite_subsets, save_report):
     _, media = suite_subsets
     report = benchmark.pedantic(
-        figure8_elimination_and_speedup, args=("mediabench",),
-        kwargs={"workloads": media}, rounds=1, iterations=1,
+        run_experiment, args=("fig8",),
+        kwargs={"suite": "mediabench", "workloads": media},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig8_mediabench.txt")
     mean = report.data["amean"]

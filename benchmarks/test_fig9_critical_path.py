@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.harness import figure9_critical_path
+from repro.harness import run_experiment
 from benchmarks.conftest import CRITPATH_MEDIA_SUBSET, CRITPATH_SPEC_SUBSET
 
 
 @pytest.mark.benchmark(group="figure9")
 def test_figure9_specint(benchmark, save_report):
     report = benchmark.pedantic(
-        figure9_critical_path, args=("specint",),
-        kwargs={"workloads": CRITPATH_SPEC_SUBSET}, rounds=1, iterations=1,
+        run_experiment, args=("fig9",),
+        kwargs={"suite": "specint", "workloads": CRITPATH_SPEC_SUBSET},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig9_specint.txt")
     for name in CRITPATH_SPEC_SUBSET:
@@ -21,8 +22,9 @@ def test_figure9_specint(benchmark, save_report):
 @pytest.mark.benchmark(group="figure9")
 def test_figure9_mediabench(benchmark, save_report):
     report = benchmark.pedantic(
-        figure9_critical_path, args=("mediabench",),
-        kwargs={"workloads": CRITPATH_MEDIA_SUBSET}, rounds=1, iterations=1,
+        run_experiment, args=("fig9",),
+        kwargs={"suite": "mediabench", "workloads": CRITPATH_MEDIA_SUBSET},
+        rounds=1, iterations=1,
     )
     save_report(report, "fig9_mediabench.txt")
     # The paper: RENO shifts ALU criticality toward fetch criticality on

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import fusion_sensitivity, instruction_mix, integration_table_cost
+from repro.harness import instruction_mix, run_experiment
 
 
 @pytest.mark.benchmark(group="text")
@@ -27,8 +27,9 @@ def test_instruction_mix_both_suites(benchmark, suite_subsets, save_report):
 def test_fusion_sensitivity(benchmark, suite_subsets, save_report):
     _, media = suite_subsets
     report = benchmark.pedantic(
-        fusion_sensitivity, args=("mediabench",),
-        kwargs={"workloads": media}, rounds=1, iterations=1,
+        run_experiment, args=("fusion",),
+        kwargs={"suite": "mediabench", "workloads": media},
+        rounds=1, iterations=1,
     )
     save_report(report, "fusion_sensitivity.txt")
     fast_mean = sum(entry["fast"] for entry in report.data.values()) / len(report.data)
@@ -46,8 +47,9 @@ def test_fusion_sensitivity(benchmark, suite_subsets, save_report):
 def test_integration_table_cost(benchmark, suite_subsets, save_report):
     spec, _ = suite_subsets
     report = benchmark.pedantic(
-        integration_table_cost, args=("specint",),
-        kwargs={"workloads": spec}, rounds=1, iterations=1,
+        run_experiment, args=("it_cost",),
+        kwargs={"suite": "specint", "workloads": spec},
+        rounds=1, iterations=1,
     )
     save_report(report, "it_cost_specint.txt")
     saved = [entry["saved"] for entry in report.data.values()]

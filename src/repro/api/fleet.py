@@ -59,21 +59,16 @@ from repro.api.schema import (
     TaskResult,
     WorkerHello,
 )
-from repro.harness.cache import (
-    SimulationCache,
-    outcome_key,
-    program_digest,
-)
+from repro.harness.cache import outcome_key, program_digest
 from repro.harness.executors import (
     FLEET_ENV,
     Block,
     ExecutionCancelled,
     SerialExecutor,
     WorkloadTask,
-    _delegate,
-    _progress_emitter,
 )
-from repro.store.base import open_store, store_locator
+from repro.store.base import ResultStore, open_store, store_locator
+from repro.store.disk import DiskStore
 
 #: Default seconds a lease stays valid without a heartbeat.
 DEFAULT_LEASE_TTL_S = 10.0
@@ -573,17 +568,6 @@ class FleetBroker:
             if job_tag in self._rr:
                 self._rr.remove(job_tag)
 
-    def job_cells(self, job_tag: str) -> list[_Cell]:
-        """Snapshot of a job's cell records (tests/observability)."""
-        with self._lock:
-            cells: list[_Cell] = []
-            for queue in self._queues.values():
-                cells.extend(c for c in queue if c.job_tag == job_tag)
-            for lease in self._leases.values():
-                if lease.cell.job_tag == job_tag:
-                    cells.append(lease.cell)
-            return cells
-
     def drain(self) -> None:
         """Stop granting leases; pollers are told to shut down."""
         with self._lock:
@@ -835,7 +819,7 @@ class FleetExecutor:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
         slice_cycles: int = DEFAULT_SLICE_CYCLES,
-        cache: SimulationCache | str | Path | None = None,
+        cache: ResultStore | str | Path | None = None,
         respawn: bool = True,
         stall_timeout_s: float = 300.0,
         broker: FleetBroker | None = None,
@@ -993,7 +977,7 @@ class FleetExecutor:
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress=None,
         cancel=None,
     ) -> list[Block]:
@@ -1001,10 +985,10 @@ class FleetExecutor:
         if not tasks:
             return []
         if not self._tasks_shippable(tasks):
-            return _delegate(SerialExecutor(), tasks, cache, progress, cancel)
+            return SerialExecutor().execute(tasks, cache, progress=progress,
+                                            cancel=cancel)
         cache = cache if cache is not None else self._default_cache()
         self.ensure_started()
-        emit = _progress_emitter(progress)
         with self._lock:
             tag = f"grid-{os.getpid()}-{self._next_tag}"
             self._next_tag += 1
@@ -1032,8 +1016,8 @@ class FleetExecutor:
                     outcome = cache.get(key)
                     if outcome is not None:
                         outcomes[grid_key] = outcome
-                        if emit is not None:
-                            emit(grid_key, True, outcome)
+                        if progress is not None:
+                            progress(grid_key, True, outcome)
                         continue
                     pending.append((grid_key, {
                         "workload": task.workload.name,
@@ -1057,7 +1041,7 @@ class FleetExecutor:
         if pending:
             self.broker.submit_cells(tag, pending)
             try:
-                self._await_job(tag, cache, outcomes, emit, cancel)
+                self._await_job(tag, cache, outcomes, progress, cancel)
             finally:
                 self.broker.forget_job(tag)
 
@@ -1079,7 +1063,7 @@ class FleetExecutor:
             blocks.append(block)
         return blocks
 
-    def _await_job(self, tag, cache, outcomes, emit, cancel) -> None:
+    def _await_job(self, tag, cache, outcomes, progress, cancel) -> None:
         """Drive one submitted job to completion (commits, chaos, cancel)."""
         last_progress = time.monotonic()
         while True:
@@ -1093,8 +1077,8 @@ class FleetExecutor:
                 outcome = cache.get(key)
                 if outcome is not None:
                     outcomes[grid_key] = outcome
-                    if emit is not None:
-                        emit(grid_key, cached, outcome)
+                    if progress is not None:
+                        progress(grid_key, cached, outcome)
                 last_progress = time.monotonic()
             if error is not None:
                 raise FleetTaskError(error)
@@ -1124,7 +1108,7 @@ class FleetExecutor:
                 return False
         return True
 
-    def _default_cache(self) -> SimulationCache:
+    def _default_cache(self) -> ResultStore:
         """The executor's fallback shared store (runs that supply none).
 
         Accepts any result-store instance or locator — a directory path,
@@ -1138,7 +1122,7 @@ class FleetExecutor:
                 self._own_cache_dir = tempfile.mkdtemp(
                     prefix="repro-fleet-cache-")
             own_cache_dir = self._own_cache_dir
-        return SimulationCache(own_cache_dir)
+        return DiskStore(own_cache_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The ``Session``/``Job`` facade: the supported programmatic API surface.
 
-A :class:`Session` owns the three pieces of engine state every caller used
-to wire up by hand — an execution backend, an outcome cache, and the
-cross-run cost model — and exposes one submission surface in front of the
-experiment registry:
+A :class:`Session` owns the engine state every caller used to wire up by
+hand — an execution backend and a result store (which also holds the
+executors' cross-run cost model) — and exposes one submission surface in
+front of the experiment registry:
 
 * :meth:`Session.submit` returns a :class:`Job` immediately; the experiment
   runs on a background worker with per-cell progress streaming
@@ -16,9 +16,9 @@ experiment registry:
   repeats recompute through the content-addressed outcome cache — so an
   experiment grid executes once no matter how many clients ask for it.
 
-The legacy entry points (``run_experiment``, the ``figure*`` wrappers, the
-``python -m repro run`` CLI) are thin clients of this facade; ``python -m
-repro serve`` (:mod:`repro.api.service`) maps it onto HTTP.
+:func:`repro.harness.spec.run_experiment` and the ``python -m repro run``
+CLI are thin clients of this facade; ``python -m repro serve``
+(:mod:`repro.api.service`) maps it onto HTTP.
 """
 
 from __future__ import annotations
@@ -29,14 +29,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.api.schema import ExperimentRequest, JobState, JobStatus
-from repro.harness.cache import SimulationCache, resolve_cache
-from repro.harness.executors import (
-    CostModel,
-    ExecutionCancelled,
-    Executor,
-    resolve_executor,
-)
+from repro.harness.cache import resolve_cache
+from repro.harness.executors import ExecutionCancelled, Executor, resolve_executor
 from repro.harness.spec import Experiment, get_experiment
+from repro.store.base import ResultStore
 
 #: How long a session's cross-session request claim stays live without
 #: renewal.  A holder that crashes without releasing blocks identical
@@ -111,18 +107,15 @@ class Job:
     # Engine-facing hooks (driven by the session's worker thread)
     # ------------------------------------------------------------------
 
-    def _on_cell(self, grid_key, cached: bool, outcome=None) -> None:
+    def _on_cell(self, grid_key, cached: bool, outcome) -> None:
         """Per-cell progress callback threaded into the executors.
 
-        The third argument is the cell's
-        :class:`~repro.core.simulator.SimulationOutcome` (the executors
-        pass it to outcome-aware callbacks); when it carries occupancy
-        statistics, their summary is folded into the live per-cell view
-        that :meth:`status` reports.
+        ``outcome`` is the cell's
+        :class:`~repro.core.simulator.SimulationOutcome`; when it carries
+        occupancy statistics, their summary is folded into the live
+        per-cell view that :meth:`status` reports.
         """
-        occupancy = (outcome.stats.occupancy
-                     if outcome is not None and outcome.stats.occupancy is not None
-                     else None)
+        occupancy = outcome.stats.occupancy
         with self._lock:
             self._cells_done += 1
             if cached:
@@ -322,7 +315,7 @@ class Session:
         self,
         *,
         jobs: int | str | None = None,
-        cache: SimulationCache | bool | str | None = None,
+        cache: ResultStore | bool | str | None = None,
         executor: Executor | None = None,
         backend: str | None = None,
         workers: int = 2,
@@ -337,7 +330,7 @@ class Session:
             raise ValueError(f"job_ttl_s must be positive or None, got {job_ttl_s}")
         self._jobs_arg = jobs
         self._cache_arg = cache
-        self._cache_resolved: SimulationCache | None | object = _UNRESOLVED
+        self._cache_resolved: ResultStore | None | object = _UNRESOLVED
         self._executor_arg = executor
         self._backend_arg = backend
         self._workers = max(1, workers)
@@ -356,7 +349,7 @@ class Session:
     # ------------------------------------------------------------------
 
     @property
-    def cache(self) -> SimulationCache | None:
+    def cache(self) -> ResultStore | None:
         """The session's result store (resolved from the constructor arg).
 
         Any :class:`repro.store.base.ResultStore` tier, not just the
@@ -376,12 +369,6 @@ class Session:
     def executor(self) -> Executor:
         """The session's execution backend (resolved per access)."""
         return resolve_executor(self._jobs_arg, self._executor_arg)
-
-    @property
-    def cost_model(self) -> CostModel | None:
-        """The cross-run cost model in the cache's store (None without one)."""
-        cache = self.cache
-        return CostModel(cache) if cache is not None else None
 
     # ------------------------------------------------------------------
     # Submission
@@ -481,7 +468,7 @@ class Session:
             return list(self._jobs_by_id.values())
 
     # ------------------------------------------------------------------
-    # Thin-client passthrough (run_experiment / figure* / CLI)
+    # Thin-client passthrough (run_experiment / CLI)
     # ------------------------------------------------------------------
 
     def run_experiment(
@@ -492,7 +479,7 @@ class Session:
         workloads: list | None = None,
         scale: int = 1,
         jobs: int | str | None = None,
-        cache: SimulationCache | bool | str | None = None,
+        cache: ResultStore | bool | str | None = None,
         executor: Executor | None = None,
         backend: str | None = None,
         progress=None,
@@ -501,11 +488,10 @@ class Session:
     ):
         """Run a registered experiment with the session's defaults applied.
 
-        This is the compatibility surface behind
-        :func:`repro.harness.spec.run_experiment` and the ``figure*``
-        wrappers: every argument keeps its historical meaning, the session
-        only supplies its own ``jobs``/``cache``/``executor`` defaults when
-        the caller left them unset.  Unlike :meth:`run` it accepts ad-hoc
+        This is the surface behind
+        :func:`repro.harness.spec.run_experiment` and ``repro run``: the
+        session only supplies its own ``jobs``/``cache``/``executor``
+        defaults when the caller left them unset.  Unlike :meth:`run` it accepts ad-hoc
         :class:`~repro.workloads.base.Workload` *objects* and arbitrary
         Python params, which cannot cross the wire.
         """
@@ -713,10 +699,9 @@ _default_session_lock = threading.Lock()
 def default_session() -> Session:
     """The lazily created process-wide session the thin clients use.
 
-    Constructed with all-default arguments, so ``run_experiment`` and the
-    ``figure*`` wrappers behave exactly as they did before the facade
-    existed: backend from ``jobs=``/``$REPRO_JOBS``, cache from
-    ``$REPRO_CACHE_DIR``.
+    Constructed with all-default arguments, so ``run_experiment`` takes its
+    backend from ``jobs=``/``$REPRO_JOBS`` and its store from
+    ``$REPRO_STORE``/``$REPRO_CACHE_DIR``.
     """
     global _default_session
     with _default_session_lock:

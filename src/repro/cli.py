@@ -13,9 +13,7 @@ Six subcommands cover the whole harness without writing Python:
   round-trip via ``from_json``).  ``--stats`` renders the report's
   occupancy/utilization section (recorded by e.g. the ``bottleneck``
   experiment) as an extra table.
-* ``python -m repro cache [--clear]`` — inspect or wipe the outcome cache
-  (absorbs the older ``python -m repro.harness.cache`` entry point, which
-  still works).
+* ``python -m repro cache [--clear]`` — inspect or wipe the outcome cache.
 * ``python -m repro serve [--host H] [--port P] [--jobs auto|N]
   [--workers N] [--session-workers N] [cache flags]`` — run the
   JSON-over-HTTP service (:mod:`repro.api.service`) until SIGINT/SIGTERM.
@@ -352,9 +350,15 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.harness.cache import main as cache_main
+    from repro.store.disk import DiskStore
 
-    return cache_main(["--clear"] if args.clear else [])
+    cache = DiskStore()
+    print(f"cache root:  {cache.root}")
+    print(f"entries:     {len(cache)}")
+    print(f"total bytes: {cache.size_bytes()}")
+    if args.clear:
+        print(f"removed:     {cache.clear()}")
+    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -374,6 +378,11 @@ def _cmd_serve(args) -> int:
     session = Session(jobs=args.jobs, cache=_resolve_cache_arg(args),
                       executor=executor, backend=args.backend,
                       workers=max(1, args.session_workers))
+    try:
+        session.executor           # a bad --jobs / $REPRO_JOBS fails here
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return serve(
         host=args.host if args.host is not None else DEFAULT_HOST,
         port=args.port if args.port is not None else DEFAULT_PORT,

@@ -124,11 +124,6 @@ class RenoConfig:
         """Copy where every fused operation pays an extra cycle (§3.3)."""
         return replace(self, name=f"{self.name}-slowfuse", fusion_penalty_all_ops=1)
 
-    def with_it_geometry(self, entries: int, associativity: int = 2) -> "RenoConfig":
-        """Copy with a different integration-table size (ablation)."""
-        return replace(self, name=f"{self.name}-it{entries}", it_entries=entries,
-                       it_associativity=associativity)
-
     def with_displacement_bits(self, bits: int) -> "RenoConfig":
         """Copy with a narrower/wider map-table displacement field (ablation)."""
         return replace(self, name=f"{self.name}-d{bits}", displacement_bits=bits)

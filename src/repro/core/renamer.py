@@ -298,38 +298,6 @@ class RenoRenamer(Renamer):
             return self._try_integrate(dyn, op, source_mappings)
         return None
 
-    def _try_fold(
-        self,
-        instruction: Instruction,
-        source_logicals: tuple[int, ...],
-        source_mappings: list[Mapping],
-    ) -> tuple[str, int, int, bool] | None:
-        """RENO_ME / RENO_CF fold check (compat wrapper for unit tests).
-
-        The pipeline path runs the same decision inlined in
-        :meth:`_try_eliminate`; this wrapper keeps the original standalone
-        signature for tests that probe folding in isolation.
-        """
-        spec = instruction.spec
-        if not spec.is_reg_imm_add:
-            return None
-        is_move = spec.is_move
-        if is_move:
-            if not self._fold_moves:
-                return None
-        elif not self._fold_adds:
-            return None
-        if (source_logicals[0] in self._group_eliminated_logicals
-                and not self._allow_dependent):
-            self.stats["dependent_elimination_blocks"] += 1
-            return None
-        source = source_mappings[0]
-        new_disp = source.disp + instruction.folded_displacement
-        if not fits_signed(new_disp, self._disp_bits):
-            self.stats["overflow_cancellations"] += 1
-            return None
-        return ("move" if is_move else "cf", source.preg, new_disp, False)
-
     def _try_integrate(
         self, dyn: DynamicInstruction, op: tuple, source_mappings: list[Mapping]
     ) -> tuple[str, int, int, bool] | None:

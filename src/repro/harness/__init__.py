@@ -9,16 +9,16 @@ The harness is organised around three layers:
   ``python -m repro`` CLI.
 * **The engine** (:mod:`repro.harness.executors`,
   :mod:`repro.harness.cache`): pluggable execution backends (serial /
-  process pool / adaptive ``"auto"``) over a content-addressed on-disk
-  outcome cache.
-* **Compat wrappers** (:mod:`repro.harness.experiments`): the original
-  ``figure*`` functions, now thin shims over the registry, still returning
+  process pool / adaptive ``"auto"``) over a content-addressed result
+  store (:mod:`repro.store`).
+* **The experiments** (:mod:`repro.harness.experiments`): the registered
+  grids and reducers, returning
   :class:`~repro.harness.experiments.ExperimentReport` objects whose rows
   mirror the paper's figures.  The benchmarks in ``benchmarks/`` and the
   examples in ``examples/`` build on these layers.
 """
 
-from repro.harness.cache import SimulationCache, file_lock, outcome_key, program_digest
+from repro.harness.cache import file_lock, outcome_key, program_digest
 from repro.harness.executors import (
     AutoExecutor,
     CancelFn,
@@ -46,19 +46,7 @@ from repro.harness.spec import (
     register_experiment,
     run_experiment,
 )
-from repro.harness.experiments import (
-    ExperimentReport,
-    figure8_elimination_and_speedup,
-    figure9_critical_path,
-    figure10_division_of_labor,
-    figure11_register_file,
-    figure11_issue_width,
-    figure12_scheduler,
-    instruction_mix,
-    fusion_sensitivity,
-    integration_table_cost,
-    run_scale_sweep,
-)
+from repro.harness.experiments import ExperimentReport, instruction_mix, run_scale_sweep
 
 __all__ = [
     "run_matrix",
@@ -66,7 +54,6 @@ __all__ = [
     "SPEEDUP_BASELINE",
     "MatrixLookupError",
     "ZeroCycleError",
-    "SimulationCache",
     "execute_grid",
     "file_lock",
     "outcome_key",
@@ -87,14 +74,6 @@ __all__ = [
     "list_experiments",
     "run_experiment",
     "ExperimentReport",
-    "figure8_elimination_and_speedup",
-    "figure9_critical_path",
-    "figure10_division_of_labor",
-    "figure11_register_file",
-    "figure11_issue_width",
-    "figure12_scheduler",
     "instruction_mix",
-    "fusion_sensitivity",
-    "integration_table_cost",
     "run_scale_sweep",
 ]

@@ -17,16 +17,14 @@ runs.  The cache key is a SHA-256 over
 
 Storage itself lives in :mod:`repro.store`: this module computes the keys
 (:func:`program_digest`, :func:`outcome_key`) and resolves the engine's
-``cache=`` argument onto a store tier.  :class:`SimulationCache` — the
-historical name every harness caller uses — *is* the local-disk tier
-(:class:`repro.store.disk.DiskStore`); the sqlite and HTTP tiers speak
-the same protocol and are selected by locator (``sqlite://<path>``,
+``cache=`` argument onto a store tier.  The default tier is the local disk
+(:class:`repro.store.disk.DiskStore`); the sqlite and HTTP tiers speak the
+same protocol and are selected by locator (``sqlite://<path>``,
 ``http://host:port``) or by the ``$REPRO_STORE`` environment variable.
 
 The disk tier defaults to ``~/.cache/repro-reno`` and is overridden by
-the ``REPRO_CACHE_DIR`` environment variable.  ``python -m
-repro.harness.cache`` prints the location and entry count; ``--clear``
-wipes it.
+the ``REPRO_CACHE_DIR`` environment variable.  ``python -m repro cache``
+prints the location and entry count; ``--clear`` wipes it.
 """
 
 from __future__ import annotations
@@ -37,12 +35,7 @@ from pathlib import Path
 
 from repro.core.config import RenoConfig
 from repro.isa.program import Program
-from repro.store.base import (
-    CACHE_FORMAT_VERSION,
-    STORE_ENV,
-    StoreStats,
-    open_store,
-)
+from repro.store.base import CACHE_FORMAT_VERSION, STORE_ENV, open_store
 from repro.store.disk import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
@@ -55,23 +48,14 @@ from repro.uarch.config import MachineConfig
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",
-    "CacheStats",
     "DEFAULT_CACHE_DIR",
     "STORE_ENV",
-    "SimulationCache",
     "default_cache_root",
     "file_lock",
-    "main",
     "outcome_key",
     "program_digest",
     "resolve_cache",
 ]
-
-#: Historical names: the disk tier and its counters, re-exported so every
-#: pre-store import site (tests, harness internals) keeps working.
-SimulationCache = DiskStore
-CacheStats = StoreStats
-
 
 def program_digest(program: Program) -> str:
     """Content hash of an assembled program.
@@ -125,18 +109,18 @@ def resolve_cache(cache):
     * a locator (``str`` / ``Path``): a path opens the disk tier there;
       ``sqlite://<path>`` and ``http(s)://host:port`` open the shared
       tiers (see :func:`repro.store.base.open_store`).
-    * a store instance (:class:`SimulationCache` or any
-      :class:`repro.store.base.ResultStore`): used as-is.
+    * a store instance (any :class:`repro.store.base.ResultStore`): used
+      as-is.
     """
     if cache is None:
         locator = os.environ.get(STORE_ENV)
         if locator:
             return open_store(locator)
-        return SimulationCache() if os.environ.get(CACHE_DIR_ENV) else None
+        return DiskStore() if os.environ.get(CACHE_DIR_ENV) else None
     if cache is False:
         return None
     if cache is True:
-        return SimulationCache()
+        return DiskStore()
     if isinstance(cache, (str, Path)):
         return open_store(cache)
     if hasattr(cache, "get") and hasattr(cache, "put"):
@@ -144,24 +128,3 @@ def resolve_cache(cache):
     raise TypeError(f"cache must be None, bool, a locator or a result store, "
                     f"got {cache!r}")
 
-
-def main(argv: list[str] | None = None) -> int:
-    """Tiny CLI: report the cache location/size, optionally clear it."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--clear", action="store_true", help="delete every cache entry")
-    args = parser.parse_args(argv)
-
-    cache = SimulationCache()
-    count = len(cache)
-    print(f"cache root:  {cache.root}")
-    print(f"entries:     {count}")
-    print(f"total bytes: {cache.size_bytes()}")
-    if args.clear:
-        print(f"removed:     {cache.clear()}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry point
-    raise SystemExit(main())

@@ -39,25 +39,18 @@ original ``run_matrix`` behaviour for callers that inspect
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import os
 import pickle
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.config import RenoConfig
 from repro.core.simulator import SimulationOutcome, simulate
 from repro.functional.simulator import FunctionalSimulator
-from repro.harness.cache import (
-    SimulationCache,
-    outcome_key,
-    program_digest,
-    resolve_cache,
-)
-from repro.store.base import open_store, store_locator
+from repro.harness.cache import outcome_key, program_digest, resolve_cache
+from repro.store.base import ResultStore, open_store, store_locator
 from repro.uarch.backend import DEFAULT_BACKEND, resolve_backend
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import Workload
@@ -77,14 +70,13 @@ GridKey = tuple[str, str, str]
 #: One executed workload block: grid-ordered (key, outcome) pairs.
 Block = list[tuple[GridKey, SimulationOutcome]]
 
-#: Per-cell completion callback: ``progress(grid_key, cached)`` is invoked
-#: once per grid cell as its outcome becomes available (``cached`` is True
-#: for cache hits).  A callback accepting a third positional argument is
-#: additionally handed the cell's :class:`SimulationOutcome` — this is how
-#: the session streams live per-cell utilization.  In-process execution
-#: streams cell by cell; pool execution streams block by block as workers
-#: finish.
-ProgressFn = Callable[[GridKey, bool], None]
+#: Per-cell completion callback: ``progress(grid_key, cached, outcome)`` is
+#: invoked once per grid cell as its outcome becomes available (``cached``
+#: is True for cache hits; ``outcome`` is the cell's
+#: :class:`SimulationOutcome`, which is how the session streams live
+#: per-cell utilization).  In-process execution streams cell by cell; pool
+#: execution streams block by block as workers finish.
+ProgressFn = Callable[[GridKey, bool, SimulationOutcome], None]
 
 #: Cooperative cancellation probe: return True to abort the grid.
 CancelFn = Callable[[], bool]
@@ -93,26 +85,6 @@ CancelFn = Callable[[], bool]
 class ExecutionCancelled(RuntimeError):
     """A grid execution was aborted by its cancellation callback."""
 
-
-def _progress_emitter(progress):
-    """Normalise a progress callback to the 3-arg form.
-
-    Legacy callbacks take ``(grid_key, cached)``; outcome-aware callbacks
-    (the session's live-utilization hook) take ``(grid_key, cached,
-    outcome)``.  Both keep working: the returned emitter always accepts
-    three arguments and drops the outcome for 2-arg callbacks.
-    """
-    if progress is None:
-        return None
-    try:
-        parameters = list(inspect.signature(progress).parameters.values())
-    except (TypeError, ValueError):
-        parameters = []
-    positional = sum(1 for p in parameters
-                     if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD))
-    if positional >= 3 or any(p.kind == p.VAR_POSITIONAL for p in parameters):
-        return progress
-    return lambda grid_key, cached, outcome: progress(grid_key, cached)
 
 #: Estimated remaining serial seconds above which :class:`AutoExecutor`
 #: switches from the serial loop to a process pool.  Roughly an order of
@@ -148,21 +120,6 @@ class WorkloadTask:
         return len(self.machines) * len(self.renos)
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalise a numeric ``jobs=`` argument (None → ``$REPRO_JOBS`` or 1).
-
-    Kept for backwards compatibility with pre-executor callers; the engine
-    itself now routes through :func:`resolve_executor`, which also accepts
-    ``"auto"``.
-    """
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get(JOBS_ENV, "1"))
-        except ValueError:
-            jobs = 1
-    return max(1, jobs)
-
-
 def _slim(outcome: SimulationOutcome) -> SimulationOutcome:
     """Drop the program and functional trace before crossing a process pipe."""
     return replace(outcome, program=None, functional=None)
@@ -172,7 +129,7 @@ def run_workload_block(
     task: WorkloadTask,
     *,
     slim: bool,
-    cache: SimulationCache | None = None,
+    cache: ResultStore | None = None,
     progress: ProgressFn | None = None,
     cancel: CancelFn | None = None,
 ) -> Block:
@@ -194,7 +151,6 @@ def run_workload_block(
         ``[(grid_key, outcome), ...]`` in (machine, RENO) grid order.
     """
     workload = task.workload
-    emit = _progress_emitter(progress)
     if cache is None and task.cache_root is not None:
         cache = open_store(task.cache_root)
     if cancel is not None and cancel():
@@ -246,8 +202,8 @@ def run_workload_block(
             if slim:
                 outcome = _slim(outcome)
         results.append((grid_key, outcome))
-        if emit is not None:
-            emit(grid_key, cached, outcome)
+        if progress is not None:
+            progress(grid_key, cached, outcome)
     return results
 
 
@@ -259,7 +215,7 @@ def _worker(task: WorkloadTask):
     return block, (cache.stats if cache is not None else None)
 
 
-def _task_fully_cached(task: WorkloadTask, cache: SimulationCache) -> bool:
+def _task_fully_cached(task: WorkloadTask, cache: ResultStore) -> bool:
     """Whether every grid point of ``task`` already has a store entry.
 
     Checks entry existence only (``contains``: no payload decode, no
@@ -359,16 +315,9 @@ class CostModel:
     and failed writes are ignored.
     """
 
-    def __init__(self, store):
-        """Create a model over ``store`` — a result store, or a cache-root
-        path/str (the historical form), which opens the disk tier there."""
-        if isinstance(store, (str, Path)):
-            store = open_store(store)
+    def __init__(self, store: ResultStore):
+        """Create a model over the result store ``store``."""
         self._store = store
-        root = getattr(store, "root", None)
-        #: Path of the backing ``costs.json`` for disk-tier models (the
-        #: historical attribute; None for shared tiers, which have no file).
-        self.path = Path(root) / COSTS_FILENAME if root is not None else None
 
     @staticmethod
     def key(task: WorkloadTask) -> str:
@@ -445,16 +394,14 @@ class Executor(Protocol):
     each block's (machine, RENO) pairs in grid order — the deterministic
     ordering contract every consumer of :func:`execute_grid` relies on.
 
-    ``progress``/``cancel`` are optional keyword hooks (see
-    :data:`ProgressFn` / :data:`CancelFn`); :func:`execute_grid` only passes
-    them when the caller supplied one, so minimal implementations taking
-    just ``(tasks, cache)`` keep working for plain runs.
+    Callers always pass the ``progress``/``cancel`` keyword hooks (see
+    :data:`ProgressFn` / :data:`CancelFn`), None when unused.
     """
 
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
     ) -> list[Block]:
@@ -468,7 +415,7 @@ class SerialExecutor:
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
     ) -> list[Block]:
@@ -478,33 +425,6 @@ class SerialExecutor:
                                progress=progress, cancel=cancel)
             for task in tasks
         ]
-
-
-def _emit_block_progress(block: Block, progress: ProgressFn | None) -> None:
-    """Fire the per-cell callback for a block computed elsewhere."""
-    emit = _progress_emitter(progress)
-    if emit is None:
-        return
-    for grid_key, outcome in block:
-        emit(grid_key, outcome.cached, outcome)
-
-
-def _delegate(
-    executor: Executor,
-    tasks: list[WorkloadTask],
-    cache: SimulationCache | None,
-    progress: ProgressFn | None,
-    cancel: CancelFn | None,
-) -> list[Block]:
-    """Forward to another executor, passing the hooks only when set.
-
-    Keeps the historical two-argument ``execute(tasks, cache)`` call shape
-    for plain runs, so minimal/stubbed executors (tests, user subclasses)
-    that predate the hooks keep working.
-    """
-    if progress is None and cancel is None:
-        return executor.execute(tasks, cache)
-    return executor.execute(tasks, cache, progress=progress, cancel=cancel)
 
 
 class ProcessExecutor:
@@ -526,7 +446,7 @@ class ProcessExecutor:
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
     ) -> list[Block]:
@@ -534,7 +454,8 @@ class ProcessExecutor:
         jobs = min(self.jobs, len(tasks))
         context = _fork_context()
         if jobs <= 1 or context is None or not _tasks_picklable(tasks):
-            return _delegate(SerialExecutor(), tasks, cache, progress, cancel)
+            return SerialExecutor().execute(tasks, cache, progress=progress,
+                                            cancel=cancel)
         blocks: list[Block] = []
         with context.Pool(processes=jobs) as pool:
             # imap preserves task order while letting finished blocks stream
@@ -549,7 +470,9 @@ class ProcessExecutor:
                     cache.stats.hits += worker_stats.hits
                     cache.stats.misses += worker_stats.misses
                     cache.stats.stores += worker_stats.stores
-                _emit_block_progress(block, progress)
+                if progress is not None:
+                    for grid_key, outcome in block:
+                        progress(grid_key, outcome.cached, outcome)
         return blocks
 
 
@@ -618,15 +541,12 @@ class AutoExecutor:
     def execute(
         self,
         tasks: list[WorkloadTask],
-        cache: SimulationCache | None,
+        cache: ResultStore | None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
     ) -> list[Block]:
         """Run the tasks on the backend the cost model or probe selects."""
         choice = self.static_choice(tasks)
-        if choice is not None:
-            return _delegate(choice, tasks, cache, progress, cancel)
-
         # Recall: with a recorded cost for every task, choose the backend
         # without probing at all (the cross-run cost model lives next to
         # the outcome cache).  Recorded costs assume uncached cells, so
@@ -634,7 +554,7 @@ class AutoExecutor:
         # checked: a fully warm leading block means the grid is probably
         # warm, and the probe loop below (which consumes all-hit blocks
         # in-process) handles that case without ever spawning workers.
-        model = CostModel(cache) if cache is not None else None
+        model = CostModel(cache) if choice is None and cache is not None else None
         if model is not None:
             costs = model.load()
             if costs:
@@ -643,11 +563,11 @@ class AutoExecutor:
                     estimate = sum(cost * task.cells
                                    for cost, task in zip(known, tasks))
                     if estimate < self.probe_threshold_s:
-                        return _delegate(SerialExecutor(), tasks, cache,
-                                         progress, cancel)
-                    if not _task_fully_cached(tasks[0], cache):
-                        return _delegate(ProcessExecutor(self._pool_jobs(tasks)),
-                                         tasks, cache, progress, cancel)
+                        choice = SerialExecutor()
+                    elif not _task_fully_cached(tasks[0], cache):
+                        choice = ProcessExecutor(self._pool_jobs(tasks))
+        if choice is not None:
+            return choice.execute(tasks, cache, progress=progress, cancel=cancel)
 
         # Probe in-process until a block actually computes cells: estimating
         # cost from an all-cache-hit block would read as "free" and wrongly
@@ -678,11 +598,11 @@ class AutoExecutor:
         # warm remainder at worst pays one pool spawn for near-free hits.
         remaining_cells = sum(task.cells for task in rest)
         if per_cell * remaining_cells < self.probe_threshold_s:
-            blocks.extend(_delegate(SerialExecutor(), rest, cache,
-                                    progress, cancel))
+            rest_executor = SerialExecutor()
         else:
-            blocks.extend(_delegate(ProcessExecutor(self._pool_jobs(rest)),
-                                    rest, cache, progress, cancel))
+            rest_executor = ProcessExecutor(self._pool_jobs(rest))
+        blocks.extend(rest_executor.execute(rest, cache, progress=progress,
+                                            cancel=cancel))
         return blocks
 
 
@@ -701,10 +621,14 @@ def resolve_executor(
       over the wire schema; worker count from ``$REPRO_FLEET``).
     * ``jobs<=1`` selects :class:`SerialExecutor`; larger integers select
       :class:`ProcessExecutor` with that many workers.
+
+    Any other value raises :class:`ValueError` naming it.
     """
     if executor is not None:
         return executor
+    source = "jobs"
     if jobs is None:
+        source = f"${JOBS_ENV}"
         jobs = os.environ.get(JOBS_ENV, "").strip()
         if not jobs:
             jobs = "fleet" if os.environ.get(FLEET_ENV, "").strip() else "auto"
@@ -720,7 +644,8 @@ def resolve_executor(
         try:
             jobs = int(jobs)
         except ValueError:
-            return AutoExecutor()
+            raise ValueError(f"{source}={jobs!r} is not an integer, 'auto' "
+                             f"or 'fleet'") from None
     if jobs <= 1:
         return SerialExecutor()
     return ProcessExecutor(jobs)
@@ -741,7 +666,7 @@ def execute_grid(
     record_stats: bool = False,
     max_instructions: int = 2_000_000,
     jobs: int | str | None = None,
-    cache: SimulationCache | bool | str | None = None,
+    cache: ResultStore | bool | str | None = None,
     executor: Executor | None = None,
     progress: ProgressFn | None = None,
     cancel: CancelFn | None = None,
@@ -796,7 +721,8 @@ def execute_grid(
         cache_root=cache_root,
         backend=backend,
     )
-    blocks = _delegate(executor, tasks, cache, progress, cancel) if tasks else []
+    blocks = (executor.execute(tasks, cache, progress=progress, cancel=cancel)
+              if tasks else [])
     outcomes: dict[GridKey, SimulationOutcome] = {}
     for block in blocks:
         for grid_key, outcome in block:

@@ -4,9 +4,8 @@ Each figure is registered in the experiment registry
 (:mod:`repro.harness.spec`) as a *spec builder* — parameters →
 :class:`~repro.harness.spec.SweepSpec` — plus a *pure reducer* that turns the
 resulting :class:`~repro.harness.runner.MatrixResult` into an
-:class:`ExperimentReport`.  The registry is what drives the ``python -m
-repro`` CLI; the original ``figure*`` functions remain as thin
-backwards-compatible wrappers over :func:`~repro.harness.spec.run_experiment`.
+:class:`ExperimentReport`.  The registry is what drives
+:func:`~repro.harness.spec.run_experiment` and the ``python -m repro`` CLI.
 
 Every experiment returns an :class:`ExperimentReport` whose rows mirror the
 series of the corresponding figure.  ``workloads=None`` runs the full suite;
@@ -31,7 +30,7 @@ from repro.core.config import RenoConfig
 from repro.functional.simulator import FunctionalSimulator
 from repro.functional.trace import mix_statistics
 from repro.harness.runner import SPEEDUP_BASELINE, MatrixResult, run_matrix
-from repro.harness.spec import Experiment, SweepSpec, experiment, register_experiment, run_experiment
+from repro.harness.spec import Experiment, SweepSpec, experiment, register_experiment
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import Workload
 from repro.workloads.suites import suite_by_name
@@ -188,23 +187,6 @@ def _fig8_spec(suite: str, workloads: list[str] | None, scale: int) -> SweepSpec
     )
 
 
-def figure8_elimination_and_speedup(
-    suite: str = "specint",
-    workloads: list[str] | None = None,
-    scale: int = 1,
-    jobs: int | str | None = None,
-    cache=None,
-    executor=None,
-) -> ExperimentReport:
-    """Fraction of dynamic instructions eliminated (ME/CF/RA+CSE stack) and
-    the speedup of full RENO over the baseline, on 4- and 6-wide machines.
-
-    Compat wrapper over ``run_experiment("fig8", ...)``.
-    """
-    return run_experiment("fig8", suite=suite, workloads=workloads, scale=scale,
-                          jobs=jobs, cache=cache, executor=executor)
-
-
 # ---------------------------------------------------------------------------
 # Bottleneck sweep: occupancy attribution across the Figure 8 grid
 # ---------------------------------------------------------------------------
@@ -318,22 +300,6 @@ def _fig9_spec(suite: str, workloads: list[str] | None, scale: int) -> SweepSpec
     )
 
 
-def figure9_critical_path(
-    suite: str = "specint",
-    workloads: list[str] | None = None,
-    scale: int = 1,
-    jobs: int | str | None = None,
-    cache=None,
-    executor=None,
-) -> ExperimentReport:
-    """Critical-path bucket shares for baseline, CF+ME, and full RENO.
-
-    Compat wrapper over ``run_experiment("fig9", ...)``.
-    """
-    return run_experiment("fig9", suite=suite, workloads=workloads, scale=scale,
-                          jobs=jobs, cache=cache, executor=executor)
-
-
 # ---------------------------------------------------------------------------
 # Figure 10: division of labor between RENO_CF and RENO_CSE+RA
 # ---------------------------------------------------------------------------
@@ -383,23 +349,6 @@ def _fig10_spec(suite: str, workloads: list[str] | None, scale: int) -> SweepSpe
         },
         scale=scale,
     )
-
-
-def figure10_division_of_labor(
-    suite: str = "specint",
-    workloads: list[str] | None = None,
-    scale: int = 1,
-    jobs: int | str | None = None,
-    cache=None,
-    executor=None,
-) -> ExperimentReport:
-    """Speedups of RENO, RENO+full IT, full integration only, loads-only
-    integration (the four bars of Figure 10).
-
-    Compat wrapper over ``run_experiment("fig10", ...)``.
-    """
-    return run_experiment("fig10", suite=suite, workloads=workloads, scale=scale,
-                          jobs=jobs, cache=cache, executor=executor)
 
 
 # ---------------------------------------------------------------------------
@@ -452,25 +401,6 @@ def _fig11_regs_spec(
     )
 
 
-def figure11_register_file(
-    suite: str = "specint",
-    workloads: list[str] | None = None,
-    scale: int = 1,
-    register_sizes: tuple[int, ...] = (96, 112, 128, 160),
-    jobs: int | str | None = None,
-    cache=None,
-    executor=None,
-) -> ExperimentReport:
-    """Relative performance at several register-file sizes for BASE, CF+ME,
-    RA+CSE (full RENO); 100% = baseline machine with 160 registers.
-
-    Compat wrapper over ``run_experiment("fig11_regs", ...)``.
-    """
-    return run_experiment("fig11_regs", suite=suite, workloads=workloads, scale=scale,
-                          register_sizes=register_sizes,
-                          jobs=jobs, cache=cache, executor=executor)
-
-
 def _reduce_fig11_width(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
     """Relative performance per issue width; 100% = widest-machine BASE."""
     reference_machine = matrix.machine_labels[-1]
@@ -515,24 +445,6 @@ def _fig11_width_spec(
     )
 
 
-def figure11_issue_width(
-    suite: str = "specint",
-    workloads: list[str] | None = None,
-    scale: int = 1,
-    widths: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 4)),
-    jobs: int | str | None = None,
-    cache=None,
-    executor=None,
-) -> ExperimentReport:
-    """Relative performance at i2t2 / i2t3 / i3t4 issue widths; 100% = the
-    baseline i3t4 machine without RENO.
-
-    Compat wrapper over ``run_experiment("fig11_width", ...)``.
-    """
-    return run_experiment("fig11_width", suite=suite, workloads=workloads, scale=scale,
-                          widths=widths, jobs=jobs, cache=cache, executor=executor)
-
-
 # ---------------------------------------------------------------------------
 # Figure 12: 2-cycle wakeup/select loop
 # ---------------------------------------------------------------------------
@@ -574,23 +486,6 @@ def _fig12_spec(suite: str, workloads: list[str] | None, scale: int) -> SweepSpe
         renos=dict(_RENO_STACK),
         scale=scale,
     )
-
-
-def figure12_scheduler(
-    suite: str = "specint",
-    workloads: list[str] | None = None,
-    scale: int = 1,
-    jobs: int | str | None = None,
-    cache=None,
-    executor=None,
-) -> ExperimentReport:
-    """Relative performance with 1- vs 2-cycle scheduling loops; 100% = the
-    1-cycle baseline without RENO.
-
-    Compat wrapper over ``run_experiment("fig12", ...)``.
-    """
-    return run_experiment("fig12", suite=suite, workloads=workloads, scale=scale,
-                          jobs=jobs, cache=cache, executor=executor)
 
 
 # ---------------------------------------------------------------------------
@@ -787,22 +682,6 @@ def _fusion_spec(suite: str, workloads: list[str] | None, scale: int) -> SweepSp
     )
 
 
-def fusion_sensitivity(
-    suite: str = "mediabench",
-    workloads: list[str] | None = None,
-    scale: int = 1,
-    jobs: int | str | None = None,
-    cache=None,
-    executor=None,
-) -> ExperimentReport:
-    """§3.3: how much of RENO_CF's benefit survives if every fusion costs a cycle.
-
-    Compat wrapper over ``run_experiment("fusion", ...)``.
-    """
-    return run_experiment("fusion", suite=suite, workloads=workloads, scale=scale,
-                          jobs=jobs, cache=cache, executor=executor)
-
-
 def _reduce_it_cost(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
     """IT bandwidth (lookups + insertions) per division-of-labor policy."""
     headers = ["benchmark", "RENO IT accesses", "FullInteg IT accesses", "saved", "elim RENO", "elim FullInteg"]
@@ -839,19 +718,3 @@ def _it_cost_spec(suite: str, workloads: list[str] | None, scale: int) -> SweepS
         scale=scale,
     )
 
-
-def integration_table_cost(
-    suite: str = "specint",
-    workloads: list[str] | None = None,
-    scale: int = 1,
-    jobs: int | str | None = None,
-    cache=None,
-    executor=None,
-) -> ExperimentReport:
-    """§4.4: IT bandwidth (lookups + insertions) for the default division of
-    labor versus a full integration table.
-
-    Compat wrapper over ``run_experiment("it_cost", ...)``.
-    """
-    return run_experiment("it_cost", suite=suite, workloads=workloads, scale=scale,
-                          jobs=jobs, cache=cache, executor=executor)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from repro.core.config import RenoConfig
 from repro.core.simulator import SimulationOutcome
-from repro.harness.cache import SimulationCache
 from repro.harness.executors import CancelFn, Executor, ProgressFn, execute_grid
+from repro.store.base import ResultStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import Workload, get_workload
 
@@ -130,7 +130,7 @@ def run_matrix(
     record_stats: bool = False,
     max_instructions: int = 2_000_000,
     jobs: int | str | None = None,
-    cache: SimulationCache | bool | str | None = None,
+    cache: ResultStore | bool | str | None = None,
     executor: Executor | None = None,
     progress: ProgressFn | None = None,
     cancel: CancelFn | None = None,
@@ -168,10 +168,10 @@ def run_matrix(
             program and trace are not shipped back over the pipe); callers
             needing those fields should run with ``jobs=1`` and a cold
             cache, as cache hits are slim too.
-        cache: On-disk outcome cache.  None enables it only when
-            ``$REPRO_CACHE_DIR`` is set; True/False force it on/off; a path
-            or :class:`~repro.harness.cache.SimulationCache` selects a
-            specific cache.  See :mod:`repro.harness.cache`.
+        cache: Result store.  None enables one only when ``$REPRO_STORE``
+            or ``$REPRO_CACHE_DIR`` is set; True/False force the disk tier
+            on/off; a locator or :class:`~repro.store.base.ResultStore`
+            selects a specific store.  See :mod:`repro.harness.cache`.
         executor: Explicit :class:`~repro.harness.executors.Executor`
             backend (overrides ``jobs``).
         progress: Per-cell completion callback

@@ -2,8 +2,7 @@
 
 A :class:`SweepSpec` captures one full experiment grid — (workloads ×
 machines × RENO configs × scale) plus the simulation budget — as a plain,
-hashable, JSON-round-trippable value.  Where the ``figure*`` functions used
-to hand-roll ``run_matrix`` plumbing, each figure is now registered as an
+hashable, JSON-round-trippable value.  Each figure is registered as an
 :class:`Experiment`: a *spec builder* (parameters → :class:`SweepSpec`) plus
 a *pure reducer* (:class:`~repro.harness.runner.MatrixResult` →
 :class:`~repro.harness.experiments.ExperimentReport`).  That split is what
@@ -37,9 +36,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.config import RenoConfig
-from repro.harness.cache import SimulationCache
 from repro.harness.executors import CancelFn, Executor, ProgressFn
 from repro.harness.runner import MatrixResult, _require_unique, run_matrix
+from repro.store.base import ResultStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import Workload
 from repro.workloads.suites import suite_by_name
@@ -100,7 +99,7 @@ class SweepSpec:
         record_stats: bool = False,
         max_instructions: int = 2_000_000,
     ) -> "SweepSpec":
-        """Build a spec from the arguments the ``figure*`` functions take.
+        """Build a spec from an experiment's suite, workloads and axes.
 
         ``workloads=None`` resolves to the full named suite; explicit
         entries may be names or :class:`~repro.workloads.base.Workload`
@@ -208,7 +207,7 @@ class SweepSpec:
     def run(
         self,
         jobs: int | str | None = None,
-        cache: SimulationCache | bool | str | None = None,
+        cache: ResultStore | bool | str | None = None,
         executor: Executor | None = None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
@@ -259,7 +258,8 @@ class Experiment:
             may only read the matrix and spec, never re-run simulations.
         run_fn: Custom runner for experiments that are not a single grid
             (signature ``(suite, workloads=, scale=, jobs=, cache=,
-            executor=, **params) -> ExperimentReport``); when set,
+            executor=, progress=, cancel=, backend=, **params) ->
+            ExperimentReport``); when set,
             ``build_spec``/``reduce`` are unused.
     """
 
@@ -277,7 +277,7 @@ class Experiment:
         workloads: list[str] | None = None,
         scale: int = 1,
         jobs: int | str | None = None,
-        cache: SimulationCache | bool | str | None = None,
+        cache: ResultStore | bool | str | None = None,
         executor: Executor | None = None,
         progress: ProgressFn | None = None,
         cancel: CancelFn | None = None,
@@ -295,19 +295,10 @@ class Experiment:
         """
         suite = suite or self.default_suite
         if self.run_fn is not None:
-            # Pass the hooks only when set, so externally registered run_fn
-            # callables with the pre-hook signature keep working for plain
-            # runs (mirrors the executors' two-argument compat shape).
-            hooks = {}
-            if progress is not None:
-                hooks["progress"] = progress
-            if cancel is not None:
-                hooks["cancel"] = cancel
-            if backend is not None:
-                hooks["backend"] = backend
             report = self.run_fn(
                 suite, workloads=workloads, scale=scale, jobs=jobs,
-                cache=cache, executor=executor, **hooks, **params,
+                cache=cache, executor=executor, progress=progress,
+                cancel=cancel, backend=backend, **params,
             )
             spec_dict = None
         else:

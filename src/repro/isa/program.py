@@ -56,10 +56,6 @@ class Program:
         """Instruction index of virtual address ``pc``."""
         return (pc - CODE_BASE) // INSTRUCTION_BYTES
 
-    def instruction_at(self, pc: int) -> Instruction:
-        """The instruction at virtual address ``pc``."""
-        return self.instructions[self.index_of(pc)]
-
     def static_mix(self) -> dict[str, int]:
         """Count static instructions by coarse category (for reporting)."""
         counts: dict[str, int] = {}

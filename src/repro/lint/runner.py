@@ -1,7 +1,7 @@
 """The lint runner: discovery, orchestration, suppressions, reports.
 
-:func:`run_lint` is the one entry point behind ``python -m repro lint``
-and the legacy gate scripts: it discovers Python files under the given
+:func:`run_lint` is the one entry point behind ``python -m repro lint``:
+it discovers Python files under the given
 paths, parses each one once, drives every selected file-scope checker
 over the shared ASTs, runs the project-scope checkers against the repo
 root, applies ``# repro-lint:`` suppressions (rejecting bare ones), and

@@ -3,8 +3,7 @@
 One protocol (:class:`~repro.store.base.ResultStore`), three tiers:
 
 * :class:`~repro.store.disk.DiskStore` — the local-disk outcome cache
-  (``$REPRO_CACHE_DIR``; what :class:`repro.harness.cache.SimulationCache`
-  has always been);
+  (``$REPRO_CACHE_DIR``);
 * :class:`~repro.store.sqlite.SqliteStore` — a single shared file with
   LRU eviction, TTL and a size cap;
 * :class:`~repro.store.http.HTTPStore` — the client for ``python -m

@@ -62,9 +62,8 @@ STORE_ENV = "REPRO_STORE"
 class StoreStats:
     """Hit/miss/store/eviction counters for one store instance.
 
-    The first three fields keep the historical
-    :class:`repro.harness.cache.CacheStats` shape (executors merge them
-    across worker processes); the rest are store-tier additions.
+    Executors merge the first three fields (hits, misses, stores) across
+    worker processes; the rest are store-tier additions.
     """
 
     hits: int = 0

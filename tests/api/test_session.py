@@ -20,7 +20,7 @@ from repro.api import (
     Session,
 )
 from repro.api.schema import JobStatus
-from repro.harness import figure8_elimination_and_speedup, run_experiment
+from repro.harness import run_experiment
 from repro.harness.experiments import ExperimentReport
 
 SMALL = ["micro_addi_chain", "micro_call_spill"]
@@ -71,8 +71,8 @@ def test_job_status_roundtrip():
 
 
 def test_report_schema_version_is_stamped_and_checked():
-    report = figure8_elimination_and_speedup("micro", workloads=SMALL[:1],
-                                             jobs=1, cache=False)
+    report = run_experiment("fig8", suite="micro", workloads=SMALL[:1],
+                            jobs=1, cache=False)
     payload = report.to_dict()
     assert payload["schema_version"] == 2
     assert ExperimentReport.from_dict(payload) == report
@@ -212,11 +212,9 @@ def test_legacy_entry_points_route_through_the_session(tmp_path):
         facade = session.run(small_request())
     legacy = run_experiment("fig8", suite="micro", workloads=SMALL[:1],
                             jobs=1, cache=False)
-    wrapper = figure8_elimination_and_speedup("micro", workloads=SMALL[:1],
-                                              jobs=1, cache=False)
-    assert legacy.rows == facade.rows == wrapper.rows
-    assert legacy.data == facade.data == wrapper.data
-    assert legacy.to_dict() == wrapper.to_dict()
+    assert legacy.rows == facade.rows
+    assert legacy.data == facade.data
+    assert legacy.experiment == facade.experiment == "fig8"
 
 
 def test_session_estimates_grid_totals():

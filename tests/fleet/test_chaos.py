@@ -18,7 +18,8 @@ from repro.api.schema import WIRE_SCHEMA_VERSION, ExperimentRequest, TaskLease
 from repro.api.session import JobCancelled, Session
 from repro.api.worker import FleetWorker
 from repro.core.simulator import simulate
-from repro.harness.cache import SimulationCache, outcome_key, program_digest
+from repro.harness.cache import outcome_key, program_digest
+from repro.store import DiskStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import get_workload
 
@@ -41,7 +42,7 @@ def test_sigkill_chaos_converges_byte_identical(tmp_path):
         for _ in range(2):
             harness.spawn_worker()
 
-        def on_progress(grid_key, cached):
+        def on_progress(grid_key, cached, outcome):
             seen.append(grid_key)
             if len(seen) % 2 == 0:
                 live = harness.live_workers()
@@ -100,7 +101,7 @@ def test_desynced_worker_hello_mid_grid_is_rejected_cleanly(tmp_path):
     with FleetHarness(tmp_path / "cache") as harness:
         harness.spawn_worker()
 
-        def on_progress(grid_key, cached):
+        def on_progress(grid_key, cached, outcome):
             if not responses:
                 responses.append(
                     harness.hello("vintage", WIRE_SCHEMA_VERSION - 1))
@@ -163,7 +164,7 @@ def test_checkpoint_migrates_between_workers(tmp_path):
     assert result.outcome_key == key
     assert not checkpoint.exists()       # consumed on completion
 
-    outcome = SimulationCache(cache_root).get(key)
+    outcome = DiskStore(cache_root).get(key)
     assert outcome is not None
     assert outcome.timing.cycles == reference.timing.cycles
     assert outcome.timing.final_registers == reference.timing.final_registers

@@ -14,8 +14,9 @@ import pickle
 
 import pytest
 
-from repro.harness.cache import SimulationCache, file_lock
+from repro.harness.cache import file_lock
 from repro.harness.executors import CostModel, WorkloadTask
+from repro.store import DiskStore
 from repro.workloads.base import get_workload
 
 WRITERS = 4
@@ -32,20 +33,20 @@ def _task_for(writer: int, index: int) -> WorkloadTask:
 
 
 def _hammer_cost_model(root: str, writer: int) -> None:
-    model = CostModel(root)
+    model = CostModel(DiskStore(root))
     for index in range(RECORDS_PER_WRITER):
         model.record(_task_for(writer, index), 0.001 * (writer + 1))
 
 
 def _hammer_cache_puts(root: str, writer: int) -> None:
     """Everyone writes the same keys concurrently (the racing-worker case)."""
-    cache = SimulationCache(root)
+    cache = DiskStore(root)
     payload_dir = cache.root
     payload_dir.mkdir(parents=True, exist_ok=True)
     for round_number in range(RECORDS_PER_WRITER):
         for key_number in range(4):
             # Reach the atomic write machinery directly with a tiny stand-in
-            # payload: SimulationCache.put pickles (version, timing, reno).
+            # payload: DiskStore.put pickles (version, timing, reno).
             path = cache.path_for(f"{key_number:02x}" + "ab" * 31)
             path.parent.mkdir(parents=True, exist_ok=True)
             cache._store_failure_warned = True
@@ -103,7 +104,7 @@ def test_parallel_same_key_entry_writes_never_tear(tmp_path, spawn_context):
         process.join(timeout=120)
         assert process.exitcode == 0
 
-    cache = SimulationCache(tmp_path / "cache")
+    cache = DiskStore(tmp_path / "cache")
     entries = cache.entries()
     assert len(entries) == 4
     for path in entries:

@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.config import RenoConfig
 from repro.harness import AutoExecutor, ProcessExecutor, SerialExecutor
-from repro.harness.cache import SimulationCache
 from repro.harness.executors import COSTS_FILENAME, CostModel, build_tasks
 import repro.harness.executors as executors_module
+from repro.store import DiskStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import get_workload
 
@@ -32,7 +32,7 @@ def micro_tasks(count: int = 2, cache_root=None):
 
 
 def test_cost_model_round_trip(tmp_path):
-    model = CostModel(tmp_path)
+    model = CostModel(DiskStore(tmp_path))
     assert model.load() == {}
     task = micro_tasks(1)[0]
     model.record(task, 0.125)
@@ -47,7 +47,7 @@ def test_cost_model_round_trip(tmp_path):
 
 def test_cost_model_tolerates_corrupt_store(tmp_path):
     (tmp_path / COSTS_FILENAME).write_text("{not json")
-    model = CostModel(tmp_path)
+    model = CostModel(DiskStore(tmp_path))
     assert model.load() == {}
     (tmp_path / COSTS_FILENAME).write_text(json.dumps(["a", "list"]))
     assert model.load() == {}
@@ -56,12 +56,12 @@ def test_cost_model_tolerates_corrupt_store(tmp_path):
 
 
 def test_probe_records_costs_for_later_runs(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     tasks = micro_tasks(2, cache_root=tmp_path)
     executor = AutoExecutor(cpu_count=4, probe_threshold_s=float("inf"))
     blocks = executor.execute(tasks, cache)
     assert len(blocks) == 2
-    costs = CostModel(tmp_path).load()
+    costs = CostModel(cache).load()
     # The probe computed the first workload's cells and recorded its cost.
     assert CostModel.key(tasks[0]) in costs
     assert costs[CostModel.key(tasks[0])] > 0
@@ -70,9 +70,9 @@ def test_probe_records_costs_for_later_runs(tmp_path):
 def test_recall_skips_the_probe_and_stays_serial(tmp_path, monkeypatch):
     """With every task's cost recorded as cheap, execute() must delegate
     straight to the serial backend without running any in-process probe."""
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     tasks = micro_tasks(2, cache_root=tmp_path)
-    model = CostModel(tmp_path)
+    model = CostModel(cache)
     for task in tasks:
         model.record(task, 1e-6)
 
@@ -82,21 +82,21 @@ def test_recall_skips_the_probe_and_stays_serial(tmp_path, monkeypatch):
     monkeypatch.setattr(executors_module, "run_workload_block", no_probe)
     sentinel = [[("key", None)]]
     monkeypatch.setattr(SerialExecutor, "execute",
-                        lambda self, tasks, cache: sentinel)
+                        lambda self, tasks, cache, **hooks: sentinel)
     executor = AutoExecutor(cpu_count=4, probe_threshold_s=0.5)
     assert executor.execute(tasks, cache) is sentinel
 
 
 def test_recall_sends_expensive_grids_to_the_pool(tmp_path, monkeypatch):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     tasks = micro_tasks(2, cache_root=tmp_path)
-    model = CostModel(tmp_path)
+    model = CostModel(cache)
     for task in tasks:
         model.record(task, 10.0)            # clearly beyond the threshold
 
     called = {}
 
-    def record_pool(self, tasks, cache):
+    def record_pool(self, tasks, cache, progress=None, cancel=None):
         called["jobs"] = self.jobs
         called["tasks"] = len(tasks)
         return []
@@ -111,15 +111,15 @@ def test_recall_keeps_warm_grids_off_the_pool(tmp_path, monkeypatch):
     """Recorded costs assume uncached cells; when the grid is actually warm
     (the leading task's entries are all cached) the recall must fall back
     to the probe loop, which consumes hits in-process — never to a pool."""
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     tasks = micro_tasks(2, cache_root=tmp_path)
     # Warm every grid point, then record expensive-looking costs.
     AutoExecutor(cpu_count=1).execute(tasks, cache)
-    model = CostModel(tmp_path)
+    model = CostModel(cache)
     for task in tasks:
         model.record(task, 10.0)
 
-    def no_pool(self, tasks, cache):
+    def no_pool(self, tasks, cache, progress=None, cancel=None):
         raise AssertionError("pool spawned for a fully warm grid")
 
     monkeypatch.setattr(ProcessExecutor, "execute", no_pool)
@@ -129,30 +129,30 @@ def test_recall_keeps_warm_grids_off_the_pool(tmp_path, monkeypatch):
 
 def test_partial_costs_fall_back_to_the_probe(tmp_path):
     """Costs for only some tasks must not trigger the no-probe decision."""
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     tasks = micro_tasks(2, cache_root=tmp_path)
-    CostModel(tmp_path).record(tasks[0], 1e-6)
+    CostModel(cache).record(tasks[0], 1e-6)
     executor = AutoExecutor(cpu_count=4, probe_threshold_s=float("inf"))
     blocks = executor.execute(tasks, cache)
     assert len(blocks) == 2                 # probe path still ran everything
     # ... and completed the model for next time.
-    costs = CostModel(tmp_path).load()
+    costs = CostModel(cache).load()
     assert CostModel.key(tasks[0]) in costs
 
 
 def test_auto_results_identical_with_and_without_model(tmp_path):
     """The cost model may only change the backend, never the outcomes."""
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     tasks = micro_tasks(2, cache_root=tmp_path)
     executor = AutoExecutor(cpu_count=1)    # static serial: reference result
     reference = executor.execute(tasks, cache)
-    model = CostModel(tmp_path)
+    model = CostModel(cache)
     for task in tasks:
         model.record(task, 1e-6)
-    cold_cache = SimulationCache(tmp_path / "other")
+    cold_cache = DiskStore(tmp_path / "other")
     tasks2 = micro_tasks(2, cache_root=tmp_path / "other")
     for task in tasks2:
-        CostModel(tmp_path / "other").record(task, 1e-6)
+        CostModel(cold_cache).record(task, 1e-6)
     recalled = AutoExecutor(cpu_count=4, probe_threshold_s=0.5).execute(
         tasks2, cold_cache)
     assert [[(key, outcome.cycles) for key, outcome in block]

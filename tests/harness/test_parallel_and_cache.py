@@ -17,18 +17,13 @@ import pytest
 from repro.core.config import RenoConfig
 from repro.harness import (
     MatrixLookupError,
-    SimulationCache,
-    figure8_elimination_and_speedup,
-    figure9_critical_path,
-    figure10_division_of_labor,
-    figure11_issue_width,
-    figure11_register_file,
-    figure12_scheduler,
     outcome_key,
     program_digest,
+    run_experiment,
     run_matrix,
 )
 from repro.harness.cache import CACHE_DIR_ENV, resolve_cache
+from repro.store import DiskStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import get_workload
 
@@ -36,14 +31,15 @@ SMALL = ["micro_addi_chain", "micro_call_spill"]
 MACHINES = {"4wide": MachineConfig.default_4wide()}
 RENOS = {"BASE": None, "RENO": RenoConfig.reno_default()}
 
-#: The full figure sweep of the paper's evaluation (fig8–fig12).
+#: The full figure sweep of the paper's evaluation (fig8–fig12), as
+#: (test id, registry name) pairs.
 FIGURES = [
-    figure8_elimination_and_speedup,
-    figure9_critical_path,
-    figure10_division_of_labor,
-    figure11_register_file,
-    figure11_issue_width,
-    figure12_scheduler,
+    ("figure8_speedups", "fig8"),
+    ("figure9_critpath", "fig9"),
+    ("figure10_labor", "fig10"),
+    ("figure11_regs", "fig11_regs"),
+    ("figure11_width", "fig11_width"),
+    ("figure12_sched", "fig12"),
 ]
 
 
@@ -63,13 +59,17 @@ def outcome_fields(outcome) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.__name__)
-def test_golden_figures_parallel_and_cached_match_serial(figure, tmp_path):
-    cache = SimulationCache(tmp_path / "cache")
-    serial = figure("micro", workloads=SMALL, jobs=1, cache=cache)
+@pytest.mark.parametrize("name", [name for _, name in FIGURES],
+                         ids=[test_id for test_id, _ in FIGURES])
+def test_golden_figures_parallel_and_cached_match_serial(name, tmp_path):
+    cache = DiskStore(tmp_path / "cache")
+    serial = run_experiment(name, suite="micro", workloads=SMALL, jobs=1,
+                            cache=cache)
     assert cache.stats.stores > 0          # cold run populated the cache
-    parallel = figure("micro", workloads=SMALL, jobs=2, cache=False)
-    warm = figure("micro", workloads=SMALL, jobs=2, cache=cache)
+    parallel = run_experiment(name, suite="micro", workloads=SMALL, jobs=2,
+                              cache=False)
+    warm = run_experiment(name, suite="micro", workloads=SMALL, jobs=2,
+                          cache=cache)
 
     assert parallel.rows == serial.rows
     assert warm.rows == serial.rows
@@ -79,7 +79,7 @@ def test_golden_figures_parallel_and_cached_match_serial(figure, tmp_path):
 
 
 def test_warm_cache_run_computes_nothing(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL, MACHINES, RENOS, cache=cache)
     stores_after_cold = cache.stats.stores
     assert stores_after_cold == len(SMALL) * len(MACHINES) * len(RENOS)
@@ -139,7 +139,7 @@ def test_simulation_is_deterministic_across_processes():
 
 
 def test_cache_roundtrip_preserves_timing_results(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     matrix = run_matrix(SMALL[:1], MACHINES, RENOS, collect_timing=True, cache=cache)
     warm = run_matrix(SMALL[:1], MACHINES, RENOS, collect_timing=True, cache=cache)
     for key in matrix.outcomes:
@@ -191,7 +191,7 @@ def test_program_digest_tracks_content_not_name():
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     import pickle
 
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL[:1], MACHINES, {"BASE": None}, cache=cache)
     entry = cache.entries()[0]
     entry.write_bytes(b"not a pickle")
@@ -201,7 +201,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 
 
 def test_parallel_run_aggregates_worker_cache_stats(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL, MACHINES, RENOS, jobs=2, cache=cache)
     expected = len(SMALL) * len(MACHINES) * len(RENOS)
     assert cache.stats.stores == expected
@@ -218,11 +218,11 @@ def test_cache_env_var_controls_default(tmp_path, monkeypatch):
     assert resolved is not None and resolved.root == tmp_path
     assert resolve_cache(False) is None               # explicit off wins
     run_matrix(SMALL[:1], MACHINES, {"BASE": None})   # cache=None → env cache
-    assert len(SimulationCache(tmp_path)) == 1
+    assert len(DiskStore(tmp_path)) == 1
 
 
 def test_cache_clear(tmp_path):
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     run_matrix(SMALL[:1], MACHINES, RENOS, cache=cache)
     assert len(cache) == 2
     assert cache.clear() == 2
@@ -250,25 +250,3 @@ def test_speedup_raises_the_same_error_for_missing_baseline():
     matrix = run_matrix(SMALL[:1], MACHINES, {"RENO": RenoConfig.reno_default()})
     with pytest.raises(MatrixLookupError, match="BASE"):
         matrix.speedup("micro_addi_chain", "4wide", "RENO")
-
-
-# ---------------------------------------------------------------------------
-# The deprecated parallel shim
-# ---------------------------------------------------------------------------
-
-
-def test_parallel_shim_warns_and_still_reexports_the_engine():
-    """Importing repro.harness.parallel must raise DeprecationWarning while
-    keeping the original names aliased to repro.harness.executors."""
-    import importlib
-
-    import repro.harness.executors as executors
-    import repro.harness.parallel as shim
-
-    with pytest.warns(DeprecationWarning, match="repro.harness.executors"):
-        shim = importlib.reload(shim)
-    assert shim.execute_grid is executors.execute_grid
-    assert shim.run_workload_block is executors.run_workload_block
-    assert shim.WorkloadTask is executors.WorkloadTask
-    assert shim.resolve_jobs is executors.resolve_jobs
-    assert shim.JOBS_ENV == executors.JOBS_ENV

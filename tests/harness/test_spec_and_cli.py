@@ -131,24 +131,17 @@ def test_every_figure_function_is_registered():
             "mix", "fusion", "it_cost", "scale_sweep"} <= registered
 
 
-def test_registered_experiments_match_figure_wrappers():
-    from repro.harness import experiments as module
-
-    wrappers = {
-        "fig8": module.figure8_elimination_and_speedup,
-        "fig9": module.figure9_critical_path,
-        "fig10": module.figure10_division_of_labor,
-        "fig11_regs": module.figure11_register_file,
-        "fig11_width": module.figure11_issue_width,
-        "fig12": module.figure12_scheduler,
-    }
-    for name, wrapper in wrappers.items():
-        direct = run_experiment(name, suite="micro", workloads=SMALL[:1],
+def test_registered_experiments_match_their_spec_and_reducer():
+    for name in ("fig8", "fig9", "fig10", "fig11_regs", "fig11_width", "fig12"):
+        entry = get_experiment(name)
+        spec = entry.build_spec("micro", SMALL[:1], 1)
+        reduced = entry.reduce(spec.run(jobs=1, cache=False), spec)
+        report = run_experiment(name, suite="micro", workloads=SMALL[:1],
                                 jobs=1, cache=False)
-        compat = wrapper("micro", workloads=SMALL[:1], jobs=1, cache=False)
-        assert compat.rows == direct.rows
-        assert compat.data == direct.data
-        assert compat.experiment == name
+        assert report.rows == reduced.rows
+        assert report.data == reduced.data
+        assert report.experiment == name
+        assert report.spec == spec.to_dict()
 
 
 def test_spec_experiments_carry_spec_provenance():
@@ -278,10 +271,11 @@ def test_autoexecutor_probe_keeps_cheap_grids_serial(monkeypatch):
 def test_autoexecutor_probe_sends_expensive_grids_to_pool(monkeypatch):
     called = {}
 
-    def record(self, tasks, cache):
+    def record(self, tasks, cache, progress=None, cancel=None):
         called["tasks"] = len(tasks)
         called["jobs"] = self.jobs
-        return SerialExecutor().execute(tasks, cache)
+        return SerialExecutor().execute(tasks, cache, progress=progress,
+                                        cancel=cancel)
 
     monkeypatch.setattr(ProcessExecutor, "execute", record)
     executor = AutoExecutor(cpu_count=4, probe_threshold_s=0.0)
@@ -294,19 +288,20 @@ def test_autoexecutor_probe_skips_all_hit_blocks(tmp_path, monkeypatch):
     """A warm first workload must not fool the probe into reading the whole
     remainder as free: the probe consumes all-hit blocks and costs the rest
     from the first block that actually computes."""
-    from repro.harness.cache import SimulationCache
+    from repro.store import DiskStore
 
     names = ["micro_addi_chain", "micro_call_spill", "micro_moves"]
     workloads = [get_workload(name) for name in names]
-    cache = SimulationCache(tmp_path)
+    cache = DiskStore(tmp_path)
     # Warm only the first workload's grid points.
     run_matrix(names[:1], MACHINES, RENOS, jobs=1, cache=cache)
 
     called = {}
 
-    def record(self, tasks, cache):
+    def record(self, tasks, cache, progress=None, cancel=None):
         called["tasks"] = len(tasks)
-        return SerialExecutor().execute(tasks, cache)
+        return SerialExecutor().execute(tasks, cache, progress=progress,
+                                        cancel=cancel)
 
     monkeypatch.setattr(ProcessExecutor, "execute", record)
     tasks = build_tasks(workloads, MACHINES, RENOS, cache_root=str(tmp_path))
@@ -318,13 +313,13 @@ def test_autoexecutor_probe_skips_all_hit_blocks(tmp_path, monkeypatch):
     assert called["tasks"] == 1
 
 
-def test_figure_wrappers_accept_adhoc_workload_objects():
-    from repro.harness import figure12_scheduler
+def test_run_experiment_accepts_adhoc_workload_objects():
     from repro.workloads.base import Workload
 
     base = get_workload("micro_addi_chain")
     adhoc = Workload(name="adhoc_kernel", suite="example", builder=base.builder)
-    report = figure12_scheduler("micro", workloads=[adhoc], jobs=1, cache=False)
+    report = run_experiment("fig12", suite="micro", workloads=[adhoc], jobs=1,
+                            cache=False)
     assert report.rows
     assert SweepSpec.from_dict(report.spec).workloads == ("adhoc_kernel",)
 
@@ -342,6 +337,16 @@ def test_resolve_executor_forms(monkeypatch):
     assert isinstance(resolve_executor(None), AutoExecutor)
     explicit = SerialExecutor()
     assert resolve_executor(8, executor=explicit) is explicit
+
+
+def test_resolve_executor_rejects_unparseable_jobs(monkeypatch):
+    with pytest.raises(ValueError, match="jobs='foo'"):
+        resolve_executor("foo")
+    monkeypatch.setenv(JOBS_ENV, "fleeet")
+    with pytest.raises(ValueError, match=r"\$REPRO_JOBS='fleeet'"):
+        resolve_executor(None)
+    with pytest.raises(ValueError, match="fleeet"):
+        run_experiment("fig8", suite="micro", workloads=SMALL[:1], cache=False)
 
 
 def test_jobs_auto_matches_serial_rows():
@@ -415,6 +420,17 @@ def test_cli_leaves_jobs_unset_so_env_applies(monkeypatch, capsys):
     assert seen["jobs"] == "2"
 
 
+def test_cli_run_and_serve_reject_unparseable_jobs(monkeypatch, capsys):
+    assert cli_main(["run", "fig8", "--suite", "micro",
+                     "--workloads", "micro_addi_chain", "--jobs", "foo",
+                     "--no-cache"]) == 2
+    assert "jobs='foo'" in capsys.readouterr().err
+    monkeypatch.setenv(JOBS_ENV, "fleeet")
+    # serve validates before binding a port, so this returns at once.
+    assert cli_main(["serve", "--port", "0", "--no-cache"]) == 2
+    assert "$REPRO_JOBS='fleeet'" in capsys.readouterr().err
+
+
 def test_cli_list_workloads_covers_every_suite(capsys):
     from repro.workloads.base import list_workloads
 
@@ -464,26 +480,29 @@ def test_cli_run_smoke_via_subprocess(tmp_path):
     assert report.rows
 
 
-def test_legacy_run_fn_signature_still_works():
-    """Externally registered experiments whose run_fn predates the
-    progress/cancel hooks must keep working for plain runs (the hooks are
-    only passed when a caller actually supplies them)."""
+def test_run_fn_receives_the_engine_hooks():
+    """Custom-runner experiments get every engine argument by keyword."""
     from repro.harness.spec import EXPERIMENTS, Experiment
 
-    def legacy_run_fn(suite, workloads=None, scale=1, jobs=None, cache=None,
-                      executor=None):
-        return ExperimentReport(name="legacy", description=suite,
+    seen = {}
+
+    def run_fn(suite, **kwargs):
+        seen.update(kwargs)
+        return ExperimentReport(name="custom", description=suite,
                                 headers=["x"], rows=[["1"]])
 
-    entry = Experiment(name="_legacy_test", title="t", description="d",
-                       run_fn=legacy_run_fn)
+    def progress(grid_key, cached, outcome):
+        pass
+
+    entry = Experiment(name="_hooks_test", title="t", description="d",
+                       run_fn=run_fn)
     EXPERIMENTS[entry.name] = entry
     try:
-        report = run_experiment("_legacy_test", suite="micro")
-        assert report.name == "legacy"
-        # With a hook supplied the legacy signature fails loudly (the
-        # feature genuinely needs the new parameter) ...
-        with pytest.raises(TypeError):
-            entry.run(suite="micro", progress=lambda key, cached: None)
+        report = run_experiment("_hooks_test", suite="micro", progress=progress,
+                                backend="python")
     finally:
         del EXPERIMENTS[entry.name]
+    assert report.experiment == "_hooks_test"
+    assert seen["progress"] is progress
+    assert seen["cancel"] is None
+    assert seen["backend"] == "python"
