@@ -49,7 +49,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.api.schema import (
@@ -67,6 +66,7 @@ from repro.harness.executors import (
     SerialExecutor,
     WorkloadTask,
 )
+from repro.jsonhttp import JSONHTTPServer, JSONRequestHandler
 from repro.store.base import ResultStore, open_store, store_locator
 from repro.store.disk import DiskStore
 
@@ -617,32 +617,16 @@ class FleetBroker:
 # ---------------------------------------------------------------------------
 
 
-class FleetServer(ThreadingHTTPServer):
+class FleetServer(JSONHTTPServer):
     """A threading HTTP server bound to one :class:`FleetBroker`."""
-
-    daemon_threads = True
 
     def __init__(self, address, broker: FleetBroker):
         """Bind to ``address`` and serve ``broker``."""
         self.broker = broker
         super().__init__(address, FleetRequestHandler)
 
-    def handle_error(self, request, client_address) -> None:
-        """Swallow disconnect noise: a SIGKILLed worker tears its socket
-        down mid-long-poll, which is chaos-by-design, not a server bug."""
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            return
-        super().handle_error(request, client_address)
 
-    @property
-    def url(self) -> str:
-        """The server's base URL (host resolved after an ephemeral bind)."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-
-class FleetRequestHandler(BaseHTTPRequestHandler):
+class FleetRequestHandler(JSONRequestHandler):
     """Routes the fleet endpoints (one request per connection thread).
 
     ========  =====================  ====================================
@@ -658,84 +642,62 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
     """
 
     server: FleetServer
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Suppress the default per-request stderr chatter."""
-
-    def _reply(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, code: int, message: str) -> None:
-        self._reply(code, {"schema_version": WIRE_SCHEMA_VERSION,
-                           "error": message})
-
-    def _read_json(self) -> dict | None:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        if length <= 0:
-            self._error(400, "request body required")
-            return None
-        try:
-            return json.loads(self.rfile.read(length))
-        except (ValueError, UnicodeDecodeError) as error:
-            self._error(400, f"malformed JSON body: {error}")
-            return None
+    schema_version = WIRE_SCHEMA_VERSION
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         """GET router: ``/healthz`` and ``/fleet/stats``."""
         path = self.path.partition("?")[0]
         if path == "/healthz":
-            self._reply(200, {"schema_version": WIRE_SCHEMA_VERSION,
-                              "ok": True})
+            self.reply(200, {"schema_version": WIRE_SCHEMA_VERSION,
+                             "ok": True})
             return
         if path == "/fleet/stats":
-            self._reply(200, self.server.broker.stats())
+            self.reply(200, self.server.broker.stats())
             return
-        self._error(404, f"unknown path {path!r}")
+        self.error(404, f"unknown path {path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         """POST router: hello / lease / result / heartbeat."""
         path = self.path.partition("?")[0]
-        payload = self._read_json()
+        payload = self.read_json()
         if payload is None:
             return
         broker = self.server.broker
         try:
             if path == "/fleet/hello":
-                self._reply(200, broker.register(WorkerHello.from_dict(payload)))
+                self.reply(200, broker.register(WorkerHello.from_dict(payload)))
             elif path == "/fleet/lease":
                 worker_id = payload.get("worker_id", "")
-                wait = float(payload.get("wait", 0.0) or 0.0)
+                wait = payload.get("wait") or 0.0
+                if not isinstance(wait, (int, float)) or wait != wait:
+                    raise SchemaError(f"wait must be a number of seconds, "
+                                      f"got {wait!r}")
                 lease = broker.lease(worker_id, wait=min(max(wait, 0.0), 30.0))
-                self._reply(200, {
+                self.reply(200, {
                     "schema_version": WIRE_SCHEMA_VERSION,
                     "lease": lease.to_dict() if lease is not None else None,
                     "shutdown": broker.draining,
                 })
             elif path == "/fleet/result":
                 accepted = broker.complete(TaskResult.from_dict(payload))
-                self._reply(200, {"schema_version": WIRE_SCHEMA_VERSION,
-                                  "accepted": accepted})
+                self.reply(200, {"schema_version": WIRE_SCHEMA_VERSION,
+                                 "accepted": accepted})
             elif path == "/fleet/heartbeat":
                 worker_id = payload.get("worker_id", "")
                 lease_ids = payload.get("leases") or []
-                self._reply(200, broker.heartbeat(worker_id, list(lease_ids)))
+                if not (isinstance(lease_ids, list)
+                        and all(isinstance(i, str) for i in lease_ids)):
+                    raise SchemaError(f"leases must be a list of lease ids, "
+                                      f"got {lease_ids!r}")
+                self.reply(200, broker.heartbeat(worker_id, lease_ids))
             else:
-                self._error(404, f"unknown path {path!r}")
+                self.error(404, f"unknown path {path!r}")
         except SchemaError as error:
-            self._error(400, str(error))
+            self.error(400, str(error))
         except WorkerRejected as error:
-            self._reply(426, error.payload)
+            self.reply(426, error.payload)
         except FleetProtocolError as error:
-            self._error(409, str(error))
+            self.error(409, str(error))
 
 
 def make_fleet_server(host: str = "127.0.0.1", port: int = 0,
@@ -1136,20 +1098,22 @@ _shared_fleet_lock = threading.Lock()
 def shared_fleet() -> FleetExecutor:
     """The lazily created process-wide fleet behind ``jobs="fleet"``.
 
-    Worker count comes from ``$REPRO_FLEET`` (an integer; unset or
-    unparseable means 2).  One fleet per process: repeated grid runs reuse
-    the same broker, server and worker pool instead of booting a fleet per
-    call.  The fleet is closed at interpreter exit — draining the broker
-    tells the workers to shut down cleanly instead of dying mid-poll when
-    the daemon server thread disappears.
+    Worker count comes from ``$REPRO_FLEET``: an integer, with unset or
+    empty meaning 2; any other value raises :class:`ValueError` naming it.
+    One fleet per process: repeated grid runs reuse the same broker,
+    server and worker pool instead of booting a fleet per call.  The fleet
+    is closed at interpreter exit — draining the broker tells the workers
+    to shut down cleanly instead of dying mid-poll when the daemon server
+    thread disappears.
     """
     global _shared_fleet
+    raw = os.environ.get(FLEET_ENV, "").strip()
+    try:
+        workers = int(raw or 2)
+    except ValueError:
+        raise ValueError(f"${FLEET_ENV}={raw!r} is not an integer") from None
     with _shared_fleet_lock:
         if _shared_fleet is None or _shared_fleet._closed:
-            try:
-                workers = int(os.environ.get(FLEET_ENV, "") or 2)
-            except ValueError:
-                workers = 2
             _shared_fleet = FleetExecutor(workers=max(1, workers))
             atexit.register(_shared_fleet.close)
         return _shared_fleet

@@ -40,14 +40,11 @@ in-flight claim markers (see ``docs/store.md``).
 
 from __future__ import annotations
 
-import json
-import signal
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
 from repro.api.schema import WIRE_SCHEMA_VERSION, ExperimentRequest, SchemaError
 from repro.api.session import Session
+from repro.jsonhttp import JSONHTTPServer, JSONRequestHandler, serve_until_signalled
 
 #: Default bind address of ``python -m repro serve``.
 DEFAULT_HOST = "127.0.0.1"
@@ -59,10 +56,8 @@ DEFAULT_PORT = 8765
 MAX_WAIT_S = 60.0
 
 
-class ReproServer(ThreadingHTTPServer):
+class ReproServer(JSONHTTPServer):
     """A threading HTTP server bound to one :class:`Session`."""
-
-    daemon_threads = True
 
     def __init__(self, address, session: Session):
         """Bind to ``address`` and serve ``session``."""
@@ -70,60 +65,23 @@ class ReproServer(ThreadingHTTPServer):
         super().__init__(address, ReproRequestHandler)
 
 
-class ReproRequestHandler(BaseHTTPRequestHandler):
+class ReproRequestHandler(JSONRequestHandler):
     """Routes the endpoint table in the module docstring (one per request)."""
 
     server: ReproServer
-    protocol_version = "HTTP/1.1"
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Suppress the default per-request stderr chatter."""
-
-    def _reply(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, code: int, message: str) -> None:
-        self._reply(code, {"schema_version": WIRE_SCHEMA_VERSION,
-                           "error": message})
-
-    def _read_json(self) -> dict | None:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        if length <= 0:
-            self._error(400, "request body required")
-            return None
-        try:
-            return json.loads(self.rfile.read(length))
-        except (ValueError, UnicodeDecodeError) as error:
-            self._error(400, f"malformed JSON body: {error}")
-            return None
-
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
+    schema_version = WIRE_SCHEMA_VERSION
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         """GET router: ``/healthz``, ``/experiments``, ``/jobs/<id>``,
         ``/fleet``, ``/store/stats``."""
         path, _, query = self.path.partition("?")
         if path == "/healthz":
-            self._reply(200, {"schema_version": WIRE_SCHEMA_VERSION, "ok": True})
+            self.reply(200, {"schema_version": WIRE_SCHEMA_VERSION, "ok": True})
             return
         if path == "/experiments":
             from repro.harness.spec import list_experiments
 
-            self._reply(200, {
+            self.reply(200, {
                 "schema_version": WIRE_SCHEMA_VERSION,
                 "experiments": [
                     {"name": entry.name, "title": entry.title,
@@ -136,43 +94,43 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         if path == "/fleet":
             broker = getattr(self.server.session.executor, "broker", None)
             if broker is None:
-                self._error(404, "this session does not run on a worker "
-                                 "fleet; start one with `repro serve "
-                                 "--workers N`")
+                self.error(404, "this session does not run on a worker "
+                           "fleet; start one with `repro serve "
+                           "--workers N`")
                 return
-            self._reply(200, broker.stats())
+            self.reply(200, broker.stats())
             return
         if path == "/store/stats":
             store = self.server.session.cache
             if store is None:
-                self._error(404, "this session has no result store; start "
-                                 "one with `repro serve --cache-dir DIR` or "
-                                 "`--store URL`")
+                self.error(404, "this session has no result store; start "
+                           "one with `repro serve --cache-dir DIR` or "
+                           "`--store URL`")
                 return
-            self._reply(200, store.stats_payload())
+            self.reply(200, store.stats_payload())
             return
         if path.startswith("/jobs/"):
             job_id = unquote(path[len("/jobs/"):])
             job = self.server.session.job(job_id)
             if job is None:
-                self._error(404, f"unknown job {job_id!r}")
+                self.error(404, f"unknown job {job_id!r}")
                 return
             wait = _parse_wait(query)
             if wait is None:
-                self._error(400, f"malformed wait= parameter in {query!r}; "
-                                 f"expected a number of seconds")
+                self.error(400, f"malformed wait= parameter in {query!r}; "
+                           f"expected a number of seconds")
                 return
             if wait:
                 job.wait(wait)
-            self._reply(200, job.status().to_dict())
+            self.reply(200, job.status().to_dict())
             return
-        self._error(404, f"unknown path {path!r}")
+        self.error(404, f"unknown path {path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         """POST router: ``/experiments`` (submit), ``/jobs/<id>/cancel``."""
         path = self.path.partition("?")[0]
         if path == "/experiments":
-            payload = self._read_json()
+            payload = self.read_json()
             if payload is None:
                 return
             from repro.api.fleet import FleetSaturated
@@ -181,12 +139,12 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                 request = ExperimentRequest.from_dict(payload)
                 job = self.server.session.submit(request)
             except SchemaError as error:
-                self._error(400, str(error))
+                self.error(400, str(error))
             except FleetSaturated as error:
                 # Backpressure, not failure: the fleet queue is full.  The
                 # structured body carries the live numbers so clients can
                 # back off intelligently instead of hammering the edge.
-                self._reply(429, {
+                self.reply(429, {
                     "schema_version": WIRE_SCHEMA_VERSION,
                     "error": str(error),
                     "queue_depth": error.queue_depth,
@@ -197,9 +155,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                 # A bare ``KeyError()`` has no args; fall back to the
                 # exception itself rather than crashing the handler.
                 detail = error.args[0] if error.args else error
-                self._error(404, str(detail))
+                self.error(404, str(detail))
             else:
-                self._reply(202, {
+                self.reply(202, {
                     "schema_version": WIRE_SCHEMA_VERSION,
                     "job_id": job.job_id,
                     "state": job.state,
@@ -210,17 +168,17 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             job_id = unquote(path[len("/jobs/"):-len("/cancel")])
             job = self.server.session.job(job_id)
             if job is None:
-                self._error(404, f"unknown job {job_id!r}")
+                self.error(404, f"unknown job {job_id!r}")
                 return
             accepted = job.cancel()
-            self._reply(200, {
+            self.reply(200, {
                 "schema_version": WIRE_SCHEMA_VERSION,
                 "job_id": job.job_id,
                 "cancelled": accepted,
                 "state": job.state,
             })
             return
-        self._error(404, f"unknown path {path!r}")
+        self.error(404, f"unknown path {path!r}")
 
 
 def _parse_wait(query: str) -> float | None:
@@ -269,28 +227,7 @@ def serve(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
     HTTP handlers and closes the session.
     """
     server = make_server(host, port, session)
-    bound_host, bound_port = server.server_address[:2]
-    print(f"repro serve: listening on http://{bound_host}:{bound_port}",
-          flush=True)
-
-    def _request_stop(signum, frame):
-        # shutdown() must not run on the serve_forever thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _request_stop)
-        except ValueError:            # non-main thread (tests)
-            pass
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.server_close()
-        server.session.close(wait=False)
+    print(f"repro serve: listening on {server.url}", flush=True)
+    serve_until_signalled(server, lambda: server.session.close(wait=False))
     print("repro serve: shut down cleanly", flush=True)
     return 0

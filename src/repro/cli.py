@@ -1,6 +1,7 @@
 """Unified command-line interface: ``python -m repro``.
 
-Six subcommands cover the whole harness without writing Python:
+Nine subcommands cover the whole harness without writing Python.  Each
+is parsed here and nowhere else; the modules named below implement them:
 
 * ``python -m repro list`` — every registered experiment (registry-driven),
   plus ``--workloads`` for the workload suites.
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -403,22 +405,25 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_store_serve(args) -> int:
-    from repro.store.http import main as store_serve_main
+    from repro.jsonhttp import serve_until_signalled
+    from repro.store.disk import default_cache_root
+    from repro.store.http import DEFAULT_HOST, DEFAULT_PORT, make_store_server
+    from repro.store.schema import TOKEN_ENV
+    from repro.store.sqlite import SqliteStore
 
-    forwarded: list[str] = []
-    if args.host is not None:
-        forwarded += ["--host", args.host]
-    if args.port is not None:
-        forwarded += ["--port", str(args.port)]
-    if args.db is not None:
-        forwarded += ["--db", args.db]
-    if args.token is not None:
-        forwarded += ["--token", args.token]
-    if args.max_bytes is not None:
-        forwarded += ["--max-bytes", str(args.max_bytes)]
-    if args.ttl is not None:
-        forwarded += ["--ttl", str(args.ttl)]
-    return store_serve_main(forwarded)
+    db = args.db if args.db is not None \
+        else str(default_cache_root() / "store.sqlite3")
+    token = args.token if args.token is not None else os.environ.get(TOKEN_ENV)
+    backing = SqliteStore(db, max_bytes=args.max_bytes, ttl_s=args.ttl)
+    server = make_store_server(
+        host=args.host if args.host is not None else DEFAULT_HOST,
+        port=args.port if args.port is not None else DEFAULT_PORT,
+        backing=backing, token=token)
+    print(f"repro store-serve: listening on {server.url} "
+          f"(db {db}, auth {'on' if token else 'off'})", flush=True)
+    serve_until_signalled(server, backing.close)
+    print("repro store-serve: shut down cleanly", flush=True)
+    return 0
 
 
 def _server_url(args) -> str:

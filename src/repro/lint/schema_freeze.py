@@ -119,6 +119,25 @@ def load_schema(root: Path) -> tuple[dict, str] | None:
     return extract_schema(ast.parse(path.read_text())), SCHEMA_MODULE
 
 
+def read_baseline(root: Path, baseline_path: str, rule: str,
+                  label: str) -> dict | Finding:
+    """The parsed baseline document under ``root``, or the finding that
+    says why it cannot be read (``label`` names the file when missing)."""
+    baseline_file = root / baseline_path
+    if not baseline_file.is_file():
+        return Finding(
+            path=baseline_path, line=0, rule=rule,
+            message=(f"{label} {baseline_path} is missing; generate it with "
+                     f"`python -m repro lint --update-baseline`"))
+    try:
+        return json.loads(baseline_file.read_text())
+    except ValueError as error:
+        return Finding(
+            path=baseline_path, line=0, rule=rule,
+            message=f"baseline is not valid JSON ({error}); regenerate "
+                    f"it with `python -m repro lint --update-baseline`")
+
+
 def diff_schema(current: dict, baseline: dict, rel: str,
                 rule: str, *,
                 version_key: str = "wire_schema_version",
@@ -216,18 +235,8 @@ class SchemaFreezeChecker(Checker):
         if loaded is None:
             return []                    # fixture trees without a schema
         current, rel = loaded
-        baseline_file = root / self.baseline_path
-        if not baseline_file.is_file():
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=(f"wire-schema baseline {self.baseline_path} is "
-                         f"missing; generate it with `python -m repro lint "
-                         f"--update-baseline`"))]
-        try:
-            baseline = json.loads(baseline_file.read_text())
-        except ValueError as error:
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=f"baseline is not valid JSON ({error}); regenerate "
-                        f"it with `python -m repro lint --update-baseline`")]
+        baseline = read_baseline(root, self.baseline_path, self.name,
+                                 "wire-schema baseline")
+        if isinstance(baseline, Finding):
+            return [baseline]
         return diff_schema(current, baseline, rel, self.name)

@@ -24,7 +24,6 @@ rule):
 from __future__ import annotations
 
 import ast
-import json
 from pathlib import Path
 
 from repro.lint.base import Checker, Finding, register_checker
@@ -34,6 +33,7 @@ from repro.lint.schema_freeze import (
     dataclass_fields,
     diff_schema,
     module_constants,
+    read_baseline,
 )
 
 #: Repo-relative location of the store-schema module this checker freezes.
@@ -135,20 +135,10 @@ class StoreSchemaChecker(Checker):
         if loaded is None:
             return []                    # fixture trees without a store
         current, rel = loaded
-        baseline_file = root / self.baseline_path
-        if not baseline_file.is_file():
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=(f"schema baseline {self.baseline_path} is missing; "
-                         f"generate it with `python -m repro lint "
-                         f"--update-baseline`"))]
-        try:
-            document = json.loads(baseline_file.read_text())
-        except ValueError as error:
-            return [Finding(
-                path=self.baseline_path, line=0, rule=self.name,
-                message=f"baseline is not valid JSON ({error}); regenerate "
-                        f"it with `python -m repro lint --update-baseline`")]
+        document = read_baseline(root, self.baseline_path, self.name,
+                                 "schema baseline")
+        if isinstance(document, Finding):
+            return [document]
         section = document.get(BASELINE_KEY)
         if not isinstance(section, dict):
             return [Finding(

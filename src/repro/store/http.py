@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import json
 import os
-import signal
-import threading
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
 from repro.core.simulator import SimulationOutcome
+from repro.jsonhttp import JSONHTTPServer, JSONRequestHandler
 from repro.store.base import StoreStats, decode_payload, encode_payload
 from repro.store.schema import (
     AUTH_HEADER,
@@ -203,10 +201,8 @@ class HTTPStore:
 # ---------------------------------------------------------------------------
 
 
-class StoreServer(ThreadingHTTPServer):
+class StoreServer(JSONHTTPServer):
     """A threading HTTP server fronting one backing store."""
-
-    daemon_threads = True
 
     def __init__(self, address, backing, token: str | None = None):
         """Bind to ``address`` and serve ``backing`` (token = require auth)."""
@@ -214,45 +210,12 @@ class StoreServer(ThreadingHTTPServer):
         self.token = token
         super().__init__(address, StoreRequestHandler)
 
-    @property
-    def url(self) -> str:
-        """The server's base URL."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
-
-class StoreRequestHandler(BaseHTTPRequestHandler):
+class StoreRequestHandler(JSONRequestHandler):
     """Routes the endpoint table in the module docstring (one per request)."""
 
     server: StoreServer
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Suppress the default per-request stderr chatter."""
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-
-    def _reply_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_bytes(self, code: int, blob: bytes, head_only: bool = False) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        if not head_only:
-            self.wfile.write(blob)
-
-    def _error(self, code: int, message: str) -> None:
-        self._reply_json(code, {"schema_version": STORE_SCHEMA_VERSION,
-                                "error": message})
+    schema_version = STORE_SCHEMA_VERSION
 
     def _authorized(self) -> bool:
         """Check the bearer token; answer the 401 when it fails."""
@@ -263,27 +226,9 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         scheme, _, credential = supplied.partition(" ")
         if scheme == AUTH_SCHEME and credential.strip() == expected:
             return True
-        self._error(401, f"missing or invalid {AUTH_SCHEME} token in the "
-                         f"{AUTH_HEADER} header")
+        self.error(401, f"missing or invalid {AUTH_SCHEME} token in the "
+                   f"{AUTH_HEADER} header")
         return False
-
-    def _read_body(self) -> bytes:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        return self.rfile.read(length) if length > 0 else b""
-
-    def _read_json(self) -> dict | None:
-        try:
-            payload = json.loads(self._read_body())
-        except (ValueError, UnicodeDecodeError) as error:
-            self._error(400, f"malformed JSON body: {error}")
-            return None
-        if not isinstance(payload, dict):
-            self._error(400, "JSON body must be an object")
-            return None
-        return payload
 
     # ------------------------------------------------------------------
     # Routes
@@ -294,8 +239,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         ``/store/meta``."""
         path = self.path.partition("?")[0]
         if path == "/healthz":
-            self._reply_json(200, {"schema_version": STORE_SCHEMA_VERSION,
-                                   "ok": True})
+            self.reply(200, {"schema_version": STORE_SCHEMA_VERSION,
+                             "ok": True})
             return
         if not self._authorized():
             return
@@ -303,21 +248,21 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             key = unquote(path[len("/store/blob/"):])
             blob = self._raw_blob(key)
             if blob is None:
-                self._error(404, f"no entry for key {key!r}")
+                self.error(404, f"no entry for key {key!r}")
                 return
-            self._reply_bytes(200, blob)
+            self.reply_bytes(200, blob)
             return
         if path == "/store/stats":
-            self._reply_json(200, StoreStatsReply(
+            self.reply(200, StoreStatsReply(
                 **self.server.backing.stats_payload()).to_dict())
             return
         if path.startswith("/store/meta/"):
             name = unquote(path[len("/store/meta/"):])
-            self._reply_json(200, MetaReply(
+            self.reply(200, MetaReply(
                 name=name,
                 entries=self.server.backing.get_meta(name)).to_dict())
             return
-        self._error(404, f"unknown path {path!r}")
+        self.error(404, f"unknown path {path!r}")
 
     def do_HEAD(self) -> None:  # noqa: N802 - stdlib naming
         """HEAD router: ``/store/blob/<key>`` existence probes."""
@@ -327,11 +272,11 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         if path.startswith("/store/blob/"):
             key = unquote(path[len("/store/blob/"):])
             if self.server.backing.contains(key):
-                self._reply_bytes(200, b"", head_only=True)
+                self.reply_bytes(200, b"", head_only=True)
             else:
-                self._reply_bytes(404, b"", head_only=True)
+                self.reply_bytes(404, b"", head_only=True)
             return
-        self._reply_bytes(404, b"", head_only=True)
+        self.reply_bytes(404, b"", head_only=True)
 
     def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
         """PUT router: ``/store/blob/<key>`` conditional payload uploads."""
@@ -339,17 +284,17 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         if not self._authorized():
             return
         if not path.startswith("/store/blob/"):
-            self._error(404, f"unknown path {path!r}")
+            self.error(404, f"unknown path {path!r}")
             return
         key = unquote(path[len("/store/blob/"):])
-        blob = self._read_body()
+        blob = self.read_body()
         outcome = decode_payload(blob)
         if outcome is None:
-            self._error(400, f"payload for {key!r} is not a valid "
-                             f"cache-format entry")
+            self.error(400, f"payload for {key!r} is not a valid "
+                       f"cache-format entry")
             return
         stored = self.server.backing.put(key, outcome)
-        self._reply_json(200, BlobPutReply(
+        self.reply(200, BlobPutReply(
             key=key, stored=stored, duplicate=not stored).to_dict())
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
@@ -359,7 +304,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         if not self._authorized():
             return
         if path == "/store/claim":
-            payload = self._read_json()
+            payload = self.read_json()
             if payload is None:
                 return
             token = str(payload.get("token", ""))
@@ -367,38 +312,38 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             try:
                 ttl_s = float(payload.get("ttl_s", 60.0))
             except (TypeError, ValueError):
-                self._error(400, "ttl_s must be a number")
+                self.error(400, "ttl_s must be a number")
                 return
             granted = self.server.backing.claim(token, owner, ttl_s)
             holder = owner if granted else self._holder(token)
-            self._reply_json(200, ClaimReply(
+            self.reply(200, ClaimReply(
                 token=token, granted=granted, holder=holder).to_dict())
             return
         if path == "/store/release":
-            payload = self._read_json()
+            payload = self.read_json()
             if payload is None:
                 return
             token = str(payload.get("token", ""))
             owner = str(payload.get("owner", ""))
             self.server.backing.release(token, owner)
-            self._reply_json(200, ClaimReply(
+            self.reply(200, ClaimReply(
                 token=token, granted=False,
                 holder=self._holder(token)).to_dict())
             return
         if path.startswith("/store/meta/"):
-            payload = self._read_json()
+            payload = self.read_json()
             if payload is None:
                 return
             entries = payload.get("entries")
             if not isinstance(entries, dict):
-                self._error(400, "entries must be an object")
+                self.error(400, "entries must be an object")
                 return
             name = unquote(path[len("/store/meta/"):])
             merged = self.server.backing.merge_meta(name, entries)
-            self._reply_json(200, MetaReply(name=name,
-                                            entries=merged).to_dict())
+            self.reply(200, MetaReply(name=name,
+                                      entries=merged).to_dict())
             return
-        self._error(404, f"unknown path {path!r}")
+        self.error(404, f"unknown path {path!r}")
 
     # ------------------------------------------------------------------
     # Backing-store helpers
@@ -437,71 +382,3 @@ def make_store_server(host: str = DEFAULT_HOST, port: int = 0,
 
         backing = SqliteStore(":memory:")
     return StoreServer((host, port), backing, token=token)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point for ``python -m repro store-serve``."""
-    import argparse
-
-    from repro.store.sqlite import SqliteStore
-
-    parser = argparse.ArgumentParser(
-        prog="repro store-serve",
-        description="Serve a shared content-addressed result store over HTTP.")
-    parser.add_argument("--host", default=DEFAULT_HOST,
-                        help=f"bind address (default {DEFAULT_HOST})")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                        help=f"TCP port (default {DEFAULT_PORT}; 0 = any "
-                             f"free port)")
-    parser.add_argument("--db", default=None, metavar="PATH",
-                        help="sqlite database file backing the store "
-                             "(default: store.sqlite3 under the outcome-"
-                             "cache root)")
-    parser.add_argument("--token", default=None,
-                        help=f"bearer token clients must present (default: "
-                             f"${TOKEN_ENV}; empty = no authentication)")
-    parser.add_argument("--max-bytes", type=int, default=None, metavar="N",
-                        help="LRU size cap on stored payload bytes "
-                             "(default: unbounded)")
-    parser.add_argument("--ttl", type=float, default=None, metavar="S",
-                        help="idle-entry time-to-live in seconds "
-                             "(default: no expiry)")
-    options = parser.parse_args(argv)
-
-    if options.db is None:
-        from repro.store.disk import default_cache_root
-
-        options.db = str(default_cache_root() / "store.sqlite3")
-    token = options.token if options.token is not None \
-        else os.environ.get(TOKEN_ENV)
-    backing = SqliteStore(options.db, max_bytes=options.max_bytes,
-                          ttl_s=options.ttl)
-    server = StoreServer((options.host, options.port), backing, token=token)
-    print(f"repro store-serve: listening on {server.url} "
-          f"(db {options.db}, auth {'on' if token else 'off'})", flush=True)
-
-    def _request_stop(signum, frame):
-        # shutdown() must not run on the serve_forever thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _request_stop)
-        except ValueError:            # non-main thread (tests)
-            pass
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.server_close()
-        backing.close()
-    print("repro store-serve: shut down cleanly", flush=True)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - module execution guard
-    raise SystemExit(main())

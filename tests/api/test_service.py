@@ -6,7 +6,8 @@ registry listing, submit → poll → report, long-polling, warm-cache
 resubmission (identical JSON, all cells cached), concurrent-submit
 coalescing, cancellation and the error paths.  One subprocess test boots
 the real ``python -m repro serve`` and drives it with the ``submit`` /
-``status`` CLI subcommands end to end.
+``status`` CLI subcommands end to end; another boots ``python -m repro
+store-serve`` and checks its SIGTERM shutdown.
 """
 
 import json
@@ -186,6 +187,33 @@ def test_serve_smoke_subprocess(tmp_path):
         except subprocess.TimeoutExpired:
             server.kill()
             output, _ = server.communicate()
+    assert "shut down cleanly" in output
+
+
+def test_store_serve_smoke_subprocess(tmp_path):
+    """Boot the real `python -m repro store-serve` and stop it with SIGTERM."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env.pop("REPRO_STORE_TOKEN", None)
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "store-serve", "--port", "0",
+         "--db", str(tmp_path / "store.sqlite3")],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True)
+    try:
+        line = server.stdout.readline()
+        assert "listening on " in line, line
+        base = line.split("listening on ", 1)[1].split()[0]
+        code, body = call(base, "/healthz")
+        assert (code, body["ok"]) == (200, True)
+    finally:
+        server.send_signal(signal.SIGTERM)
+        try:
+            output, _ = server.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            output, _ = server.communicate()
+    assert server.returncode == 0, output
     assert "shut down cleanly" in output
 
 

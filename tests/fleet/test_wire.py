@@ -178,3 +178,15 @@ def test_http_stats_lists_registered_workers(fleet_server):
     assert "w-stats" in stats["workers"]
     assert stats["workers"]["w-stats"]["pid"] == 123
     assert stats["counters"]["commits"] == 0
+
+
+@pytest.mark.parametrize("path, payload", [
+    ("/fleet/lease", [1]),
+    ("/fleet/lease", {"worker_id": "w", "wait": "abc"}),
+    ("/fleet/heartbeat", {"worker_id": "w", "leases": 5}),
+])
+def test_http_malformed_input_is_a_400(fleet_server, path, payload):
+    code, body = _post(fleet_server, path, payload)
+    assert code == 400
+    assert body["schema_version"] == WIRE_SCHEMA_VERSION
+    assert isinstance(body["error"], str) and body["error"]

@@ -32,7 +32,7 @@ from repro.harness import (
     run_experiment,
     run_matrix,
 )
-from repro.harness.executors import JOBS_ENV, build_tasks
+from repro.harness.executors import FLEET_ENV, JOBS_ENV, build_tasks
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import SimResult
 from repro.uarch.stats import SimStats
@@ -347,6 +347,10 @@ def test_resolve_executor_rejects_unparseable_jobs(monkeypatch):
         resolve_executor(None)
     with pytest.raises(ValueError, match="fleeet"):
         run_experiment("fig8", suite="micro", workloads=SMALL[:1], cache=False)
+    monkeypatch.delenv(JOBS_ENV)
+    monkeypatch.setenv(FLEET_ENV, "fleeet")
+    with pytest.raises(ValueError, match=r"\$REPRO_FLEET='fleeet'"):
+        resolve_executor(None)
 
 
 def test_jobs_auto_matches_serial_rows():
