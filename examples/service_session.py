@@ -6,8 +6,9 @@ Demonstrates the three pieces of the public API:
    content-addressed coalescing of identical submissions,
 2. the same session driven over HTTP through an in-process
    ``repro serve`` server (what ``python -m repro serve`` runs), and
-3. incremental simulation: a pipeline advanced in bounded cycle slices
-   with a disk checkpoint, finishing byte-identical to a one-shot run.
+3. incremental simulation: a pipeline advanced in bounded cycle slices,
+   checkpointed to disk after each one and resumed from that file by a
+   freshly built pipeline, finishing byte-identical to a one-shot run.
 
 Run with:  python examples/service_session.py
 """
@@ -17,7 +18,7 @@ import tempfile
 import threading
 import urllib.request
 
-from repro.api import ExperimentRequest, Session, make_server, run_sliced
+from repro.api import ExperimentRequest, PipelineSnapshot, Session, make_server
 from repro.functional.simulator import FunctionalSimulator
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
@@ -62,14 +63,15 @@ def main():
     program = get_workload("mcf_like").build(1)
     trace = FunctionalSimulator(program).run().trace
     one_shot = Pipeline(program, trace, MachineConfig.default_4wide()).run()
-    sliced = run_sliced(
-        Pipeline(program, trace, MachineConfig.default_4wide()),
-        slice_cycles=500,
-        checkpoint_path=f"{cache_dir}/mcf.ckpt",
-        on_slice=lambda p, r: print(
-            f"  slice -> cycle {r.stats.cycles}, "
-            f"{r.stats.committed}/{len(trace)} retired"),
-    )
+    checkpoint = f"{cache_dir}/mcf.ckpt"
+    pipeline = Pipeline(program, trace, MachineConfig.default_4wide())
+    while not (sliced := pipeline.run(max_cycles=500)).finished:
+        pipeline.snapshot().save(checkpoint)
+        print(f"  slice -> cycle {sliced.stats.cycles}, "
+              f"{sliced.stats.committed}/{len(trace)} retired")
+        # Resume from disk, as a new process would after a crash.
+        pipeline = Pipeline(program, trace, MachineConfig.default_4wide())
+        pipeline.restore(PipelineSnapshot.load(checkpoint))
     print("sliced == one-shot:", sliced.stats == one_shot.stats)
 
 

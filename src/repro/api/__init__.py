@@ -12,9 +12,11 @@ library internals that may change between versions.  It has four pieces:
   (:mod:`repro.api.schema`).
 * The HTTP front-end behind ``python -m repro serve``
   (:mod:`repro.api.service`).
-* Incremental simulation — time-sliced, checkpointable pipeline runs
-  (:mod:`repro.api.checkpoint`, re-exporting
-  :class:`~repro.uarch.snapshot.PipelineSnapshot`).
+* Incremental simulation — ``Pipeline.run(max_cycles=...)`` advances a
+  run in slices, ``Pipeline.snapshot()``/``restore()`` capture and re-adopt
+  its state as a :class:`~repro.uarch.snapshot.PipelineSnapshot`
+  (re-exported here) and ``save()``/``load()`` park that on disk.  The
+  fleet worker runs every cell this way.
 * The distributed worker fleet — a lease broker plus ``python -m repro
   worker`` pullers executing experiment grids across processes with
   byte-identical results (:mod:`repro.api.fleet`, :mod:`repro.api.worker`;
@@ -36,7 +38,6 @@ Quick start::
         report = job.result()
 """
 
-from repro.api.checkpoint import resume_sliced, run_sliced
 from repro.api.fleet import (
     FleetBroker,
     FleetError,
@@ -91,8 +92,6 @@ __all__ = [
     "default_session",
     "serve",
     "make_server",
-    "run_sliced",
-    "resume_sliced",
     "PipelineSnapshot",
     "SnapshotError",
     "WorkerHello",

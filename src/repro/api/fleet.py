@@ -58,7 +58,7 @@ from repro.api.schema import (
     TaskResult,
     WorkerHello,
 )
-from repro.harness.cache import outcome_key, program_digest
+from repro.harness.cache import program_digest
 from repro.harness.executors import (
     FLEET_ENV,
     Block,
@@ -235,6 +235,8 @@ class FleetBroker:
         if max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}")
+        if slice_cycles < 1:
+            raise ValueError(f"slice_cycles must be >= 1, got {slice_cycles}")
         self.lease_ttl_s = lease_ttl_s
         self.heartbeat_every_s = max(0.05, min(lease_ttl_s / 3.0, 2.0))
         self.max_attempts = max_attempts
@@ -966,39 +968,34 @@ class FleetExecutor:
         disk_root = getattr(cache, "root", None)
         checkpoint_dir = str(disk_root / "fleet-ckpt") if disk_root is not None else ""
         for task in tasks:
-            program = task.workload.build(task.scale)
-            digest = program_digest(program)
-            for machine_label, machine in task.machines:
-                for reno_label, reno in task.renos:
-                    grid_key = (task.workload.name, machine_label, reno_label)
-                    key = outcome_key(digest, machine, reno,
-                                      task.max_instructions,
-                                      task.collect_timing, task.record_stats)
-                    keys[grid_key] = key
-                    outcome = cache.get(key)
-                    if outcome is not None:
-                        outcomes[grid_key] = outcome
-                        if progress is not None:
-                            progress(grid_key, True, outcome)
-                        continue
-                    pending.append((grid_key, {
-                        "workload": task.workload.name,
-                        "scale": task.scale,
-                        "machine_label": machine_label,
-                        "machine": machine.to_dict(),
-                        "reno_label": reno_label,
-                        "reno": reno.to_dict() if reno is not None else None,
-                        "collect_timing": task.collect_timing,
-                        "record_stats": task.record_stats,
-                        "max_instructions": task.max_instructions,
-                        "backend": task.backend,
-                        "outcome_key": key,
-                        "cache_root": cache_root,
-                        "checkpoint_path": (
-                            str(Path(checkpoint_dir) / f"{key}.ckpt")
-                            if checkpoint_dir else ""),
-                        "slice_cycles": self.broker.slice_cycles,
-                    }))
+            digest = program_digest(task.workload.build(task.scale))
+            for grid_key, machine, reno in task.grid():
+                key = keys[grid_key] = task.outcome_key(digest, machine, reno)
+                outcome = cache.get(key)
+                if outcome is not None:
+                    outcomes[grid_key] = outcome
+                    if progress is not None:
+                        progress(grid_key, True, outcome)
+                    continue
+                workload, machine_label, reno_label = grid_key
+                pending.append((grid_key, {
+                    "workload": workload,
+                    "scale": task.scale,
+                    "machine_label": machine_label,
+                    "machine": machine.to_dict(),
+                    "reno_label": reno_label,
+                    "reno": reno.to_dict() if reno is not None else None,
+                    "collect_timing": task.collect_timing,
+                    "record_stats": task.record_stats,
+                    "max_instructions": task.max_instructions,
+                    "backend": task.backend,
+                    "outcome_key": key,
+                    "cache_root": cache_root,
+                    "checkpoint_path": (
+                        str(Path(checkpoint_dir) / f"{key}.ckpt")
+                        if checkpoint_dir else ""),
+                    "slice_cycles": self.broker.slice_cycles,
+                }))
 
         if pending:
             self.broker.submit_cells(tag, pending)
@@ -1010,18 +1007,16 @@ class FleetExecutor:
         blocks: list[Block] = []
         for task in tasks:
             block: Block = []
-            for machine_label, _ in task.machines:
-                for reno_label, _ in task.renos:
-                    grid_key = (task.workload.name, machine_label, reno_label)
-                    outcome = outcomes.get(grid_key)
-                    if outcome is None:
-                        # Committed by a worker but unreadable here: a
-                        # shared-cache misconfiguration, not a sim failure.
-                        raise FleetError(
-                            f"cell {grid_key} committed but its outcome "
-                            f"{keys[grid_key][:12]}… is unreadable from the "
-                            f"shared cache at {cache_root}")
-                    block.append((grid_key, outcome))
+            for grid_key, _, _ in task.grid():
+                outcome = outcomes.get(grid_key)
+                if outcome is None:
+                    # Committed by a worker but unreadable here: a
+                    # shared-cache misconfiguration, not a sim failure.
+                    raise FleetError(
+                        f"cell {grid_key} committed but its outcome "
+                        f"{keys[grid_key][:12]}… is unreadable from the "
+                        f"shared cache at {cache_root}")
+                block.append((grid_key, outcome))
             blocks.append(block)
         return blocks
 

@@ -53,13 +53,10 @@ from repro.api.schema import (
     WorkerHello,
 )
 from repro.core.config import RenoConfig
-from repro.core.renamer import RenoRenamer
-from repro.core.simulator import SimulationOutcome
+from repro.core.simulator import build_pipeline, verified_outcome
 from repro.functional.simulator import FunctionalSimulator
-from repro.api.checkpoint import run_sliced
 from repro.store.base import open_store
 from repro.uarch.config import MachineConfig
-from repro.uarch.core import Pipeline
 from repro.uarch.snapshot import PipelineSnapshot, SnapshotError
 from repro.workloads.base import get_workload
 
@@ -312,8 +309,17 @@ class FleetWorker:
         return local_dir / f"{cell['outcome_key']}.ckpt"
 
     def _run_cell(self, lease: TaskLease, abandon: threading.Event) -> TaskResult:
-        """Simulate one cell; outcomes go to the shared store, not the wire."""
+        """Simulate one cell; outcomes go to the shared store, not the wire.
+
+        A final-state mismatch raises
+        :class:`~repro.core.simulator.ArchitecturalMismatchError`, which
+        :meth:`_execute_lease` reports as a failed result.
+        """
         cell = lease.cell
+        # The budget arrives over the wire, so it is checked here too.
+        slice_cycles = int(cell["slice_cycles"])
+        if slice_cycles < 1:
+            raise ValueError(f"slice_cycles must be >= 1, got {slice_cycles}")
         cache = self._store_for(cell["cache_root"])
         key = cell["outcome_key"]
         if cache.get(key) is not None:
@@ -325,13 +331,10 @@ class FleetWorker:
 
         program, functional = self._trace_for(
             cell["workload"], int(cell["scale"]), int(cell["max_instructions"]))
-        machine = MachineConfig.from_dict(cell["machine"])
         reno = (RenoConfig.from_dict(cell["reno"])
                 if cell.get("reno") is not None else None)
-        renamer = (RenoRenamer(machine.num_physical_regs, reno)
-                   if reno is not None else None)
-        pipeline = Pipeline(
-            program, functional.trace, machine, renamer=renamer,
+        pipeline = build_pipeline(
+            program, functional, MachineConfig.from_dict(cell["machine"]), reno,
             collect_timing=bool(cell["collect_timing"]),
             record_stats=bool(cell.get("record_stats", False)),
             backend=self.backend or cell.get("backend"),
@@ -347,24 +350,14 @@ class FleetWorker:
             except (SnapshotError, OSError, ValueError):
                 checkpoint.unlink(missing_ok=True)
 
-        def on_slice(pipeline, partial):
-            """Abort at the next slice boundary once told to abandon."""
+        # Park a snapshot after every unfinished slice; on abandon it stays
+        # on disk for the cell's next owner, on completion it goes.
+        while not (timing := pipeline.run(max_cycles=slice_cycles)).finished:
+            pipeline.snapshot().save(checkpoint)
             if abandon.is_set():
                 raise _Abandoned(lease.lease_id)
+        checkpoint.unlink(missing_ok=True)
 
-        timing = run_sliced(
-            pipeline, int(cell.get("slice_cycles") or 50_000),
-            checkpoint_path=checkpoint, on_slice=on_slice)
-
-        expected = list(functional.state.snapshot())
-        if timing.final_registers != expected:
-            return TaskResult(
-                lease_id=lease.lease_id, worker_id=self.worker_id, ok=False,
-                error=(f"architectural state diverged for {program.name} "
-                       f"(reno={'on' if reno else 'off'})"))
-
-        outcome = SimulationOutcome(program=program, functional=functional,
-                                    timing=timing, reno_config=reno)
-        cache.put(key, outcome)
+        cache.put(key, verified_outcome(program, functional, timing, reno))
         return TaskResult(lease_id=lease.lease_id, worker_id=self.worker_id,
                           ok=True, outcome_key=key, cached=False)

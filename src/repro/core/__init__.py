@@ -19,7 +19,10 @@ The package provides:
   :class:`repro.uarch.core.Pipeline`,
 * :func:`~repro.core.simulator.simulate` /
   :func:`~repro.core.simulator.simulate_workload` — one-call helpers that run
-  the functional simulator and the timing pipeline together.
+  the functional simulator and the timing pipeline together and verify the
+  timing run's final architectural state against the functional one.
+  Several RENO configurations compare on one workload by passing one
+  functional run as ``trace=`` to each :func:`~repro.core.simulator.simulate`.
 """
 
 from repro.core.config import RenoConfig
@@ -28,7 +31,7 @@ from repro.core.maptable import ExtendedMapTable, Mapping
 from repro.core.integration import IntegrationTable, IntegrationEntry
 from repro.core.fusion import fusion_extra_latency
 from repro.core.renamer import RenoRenamer
-from repro.core.simulator import simulate, simulate_workload, run_config_comparison
+from repro.core.simulator import simulate, simulate_workload
 
 __all__ = [
     "RenoConfig",
@@ -42,5 +45,4 @@ __all__ = [
     "RenoRenamer",
     "simulate",
     "simulate_workload",
-    "run_config_comparison",
 ]

@@ -6,8 +6,10 @@ These are the functions examples, tests and the experiment harness use:
   configuration, optionally with RENO enabled, and return both the functional
   and the timing results (with the architectural-equivalence check applied).
 * :func:`simulate_workload` — the same, starting from a workload name.
-* :func:`run_config_comparison` — run one workload under several RENO
-  configurations (sharing the functional trace) and return per-config results.
+* :func:`build_pipeline` / :func:`verified_outcome` — the two halves of
+  :func:`simulate` around the timing run, shared with the fleet worker
+  (:mod:`repro.api.worker`), which drives the pipeline in checkpointed
+  slices instead of one :meth:`~repro.uarch.core.Pipeline.run`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,49 @@ class SimulationOutcome:
         return self.timing.cycles
 
 
+def build_pipeline(
+    program: Program,
+    functional: ExecutionResult,
+    machine: MachineConfig,
+    reno: RenoConfig | None,
+    *,
+    collect_timing: bool = False,
+    record_stats: bool = False,
+    backend: str | None = None,
+) -> Pipeline:
+    """The timing pipeline for one (program, machine, RENO) cell.
+
+    ``reno=None`` builds the conventional baseline renamer; otherwise a
+    :class:`~repro.core.renamer.RenoRenamer` sized to the machine's
+    physical register file.  Keyword arguments are as for :func:`simulate`.
+    """
+    renamer = RenoRenamer(machine.num_physical_regs, reno) if reno is not None else None
+    return Pipeline(program, functional.trace, machine, renamer=renamer,
+                    collect_timing=collect_timing, record_stats=record_stats,
+                    backend=backend)
+
+
+def verified_outcome(
+    program: Program,
+    functional: ExecutionResult,
+    timing: SimResult,
+    reno: RenoConfig | None,
+) -> SimulationOutcome:
+    """Wrap a finished timing run, checking it against the functional run.
+
+    Raises:
+        ArchitecturalMismatchError: The timing simulator's final
+            architectural registers differ from the functional simulator's.
+    """
+    if timing.final_registers != list(functional.state.snapshot()):
+        raise ArchitecturalMismatchError(
+            f"{program.name}: timing-simulator architectural state diverged "
+            f"(reno={'on' if reno else 'off'})"
+        )
+    return SimulationOutcome(program=program, functional=functional,
+                             timing=timing, reno_config=reno)
+
+
 def simulate(
     program: Program,
     machine: MachineConfig | None = None,
@@ -67,7 +112,6 @@ def simulate(
     collect_timing: bool = False,
     record_stats: bool = False,
     max_instructions: int = 2_000_000,
-    verify: bool = True,
     backend: str | None = None,
 ) -> SimulationOutcome:
     """Run ``program`` through the functional and timing simulators.
@@ -84,8 +128,6 @@ def simulate(
             utilization (``outcome.stats.occupancy``); see
             :mod:`repro.uarch.observe`.
         max_instructions: Functional-simulation budget.
-        verify: Check that the timing simulator's final architectural state
-            matches the functional simulator's.
         backend: Cycle-loop backend name for the timing run (``"python"``,
             ``"compiled"``), or None to consult ``$REPRO_BACKEND`` and
             default to ``python`` — see :mod:`repro.uarch.backend`.
@@ -93,29 +135,16 @@ def simulate(
 
     Returns:
         A :class:`SimulationOutcome`.
+
+    Raises:
+        ArchitecturalMismatchError: The two simulators disagree.
     """
     machine = machine or MachineConfig.default_4wide()
     functional = trace or FunctionalSimulator(program, max_instructions).run()
-    renamer = RenoRenamer(machine.num_physical_regs, reno) if reno is not None else None
-    pipeline = Pipeline(
-        program,
-        functional.trace,
-        machine,
-        renamer=renamer,
-        collect_timing=collect_timing,
-        record_stats=record_stats,
-        backend=backend,
-    )
-    timing = pipeline.run()
-    if verify:
-        expected = list(functional.state.snapshot())
-        if timing.final_registers != expected:
-            raise ArchitecturalMismatchError(
-                f"{program.name}: timing-simulator architectural state diverged "
-                f"(reno={'on' if reno else 'off'})"
-            )
-    return SimulationOutcome(program=program, functional=functional,
-                             timing=timing, reno_config=reno)
+    pipeline = build_pipeline(program, functional, machine, reno,
+                              collect_timing=collect_timing,
+                              record_stats=record_stats, backend=backend)
+    return verified_outcome(program, functional, pipeline.run(), reno)
 
 
 def simulate_workload(
@@ -130,27 +159,3 @@ def simulate_workload(
         workload = get_workload(workload)
     program = workload.build(scale)
     return simulate(program, machine, reno, **kwargs)
-
-
-def run_config_comparison(
-    workload: str | Workload,
-    configs: dict[str, RenoConfig | None],
-    scale: int = 1,
-    machine: MachineConfig | None = None,
-    **kwargs,
-) -> dict[str, SimulationOutcome]:
-    """Run one workload under several RENO configurations.
-
-    The functional trace is computed once and shared, so every configuration
-    sees exactly the same dynamic instruction stream.
-    """
-    if isinstance(workload, str):
-        workload = get_workload(workload)
-    program = workload.build(scale)
-    functional = FunctionalSimulator(program, kwargs.pop("max_instructions", 2_000_000)).run()
-    outcomes: dict[str, SimulationOutcome] = {}
-    for label, reno in configs.items():
-        outcomes[label] = simulate(
-            program, machine, reno, trace=functional, **kwargs
-        )
-    return outcomes

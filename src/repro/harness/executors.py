@@ -119,6 +119,18 @@ class WorkloadTask:
         """Number of grid points this task covers."""
         return len(self.machines) * len(self.renos)
 
+    def grid(self) -> list[tuple[GridKey, MachineConfig, RenoConfig | None]]:
+        """``(grid_key, machine, reno)`` for every point, in grid order."""
+        return [((self.workload.name, machine_label, reno_label), machine, reno)
+                for machine_label, machine in self.machines
+                for reno_label, reno in self.renos]
+
+    def outcome_key(self, digest: str, machine: MachineConfig,
+                    reno: RenoConfig | None) -> str:
+        """The result-store key of one point, given the program digest."""
+        return outcome_key(digest, machine, reno, self.max_instructions,
+                           self.collect_timing, self.record_stats)
+
 
 def _slim(outcome: SimulationOutcome) -> SimulationOutcome:
     """Drop the program and functional trace before crossing a process pipe."""
@@ -158,39 +170,28 @@ def run_workload_block(
     program = workload.build(task.scale)
     digest = program_digest(program) if cache is not None else ""
 
-    points: list[tuple[GridKey, str | None, SimulationOutcome | None]] = []
-    misses = 0
-    for machine_label, machine in task.machines:
-        for reno_label, reno in task.renos:
-            grid_key = (workload.name, machine_label, reno_label)
-            key = None
-            outcome = None
-            if cache is not None:
-                key = outcome_key(digest, machine, reno,
-                                  task.max_instructions, task.collect_timing,
-                                  task.record_stats)
-                outcome = cache.get(key)
-            if outcome is None:
-                misses += 1
-            points.append((grid_key, key, outcome))
+    points = []
+    for grid_key, machine, reno in task.grid():
+        key = outcome = None
+        if cache is not None:
+            key = task.outcome_key(digest, machine, reno)
+            outcome = cache.get(key)
+        points.append((grid_key, machine, reno, key, outcome))
 
     functional = None
-    if misses:
+    if any(outcome is None for *_, outcome in points):
         functional = FunctionalSimulator(program, task.max_instructions).run()
 
-    machines = dict(task.machines)
-    renos = dict(task.renos)
     results: Block = []
-    for grid_key, key, outcome in points:
+    for grid_key, machine, reno, key, outcome in points:
         cached = outcome is not None
         if outcome is None:
             if cancel is not None and cancel():
                 raise ExecutionCancelled(f"cancelled in workload {workload.name}")
-            _, machine_label, reno_label = grid_key
             outcome = simulate(
                 program,
-                machines[machine_label],
-                renos[reno_label],
+                machine,
+                reno,
                 trace=functional,
                 collect_timing=task.collect_timing,
                 record_stats=task.record_stats,
@@ -223,16 +224,9 @@ def _task_fully_cached(task: WorkloadTask, cache: ResultStore) -> bool:
     distinguish a warm repeat run from a cold grid before committing to a
     worker pool.
     """
-    program = task.workload.build(task.scale)
-    digest = program_digest(program)
-    for _, machine in task.machines:
-        for _, reno in task.renos:
-            key = outcome_key(digest, machine, reno,
-                              task.max_instructions, task.collect_timing,
-                              task.record_stats)
-            if not cache.contains(key):
-                return False
-    return True
+    digest = program_digest(task.workload.build(task.scale))
+    return all(cache.contains(task.outcome_key(digest, machine, reno))
+               for _, machine, reno in task.grid())
 
 
 def _fork_context():
@@ -505,19 +499,16 @@ class AutoExecutor:
 
     def __init__(
         self,
-        max_jobs: int | None = None,
         cpu_count: int | None = None,
         probe_threshold_s: float = PROBE_THRESHOLD_S,
     ):
         """Create the executor.
 
         Args:
-            max_jobs: Cap on worker processes (None = number of CPUs).
             cpu_count: Override the probed CPU count (for tests).
             probe_threshold_s: Estimated remaining serial seconds above
                 which the process pool is chosen.
         """
-        self.max_jobs = max_jobs
         self.cpu_count = cpu_count
         self.probe_threshold_s = probe_threshold_s
 
@@ -533,10 +524,7 @@ class AutoExecutor:
         return None
 
     def _pool_jobs(self, tasks: list[WorkloadTask]) -> int:
-        jobs = min(self._cpus(), len(tasks))
-        if self.max_jobs is not None:
-            jobs = min(jobs, self.max_jobs)
-        return jobs
+        return min(self._cpus(), len(tasks))
 
     def execute(
         self,

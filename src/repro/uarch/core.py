@@ -353,8 +353,8 @@ class Pipeline:
         timeline = self.timeline.ordered() if self.timeline is not None else None
         if not finished:
             # A partial result must be a point-in-time view: later slices
-            # keep mutating the live stats/records, and callers (run_sliced
-            # callbacks, checkpointing services) naturally stash per-slice
+            # keep mutating the live stats/records, and callers (progress
+            # reports, checkpointing workers) naturally stash per-slice
             # results.
             stats = copy.deepcopy(stats)
             records = list(records) if records is not None else None

@@ -1,73 +1,133 @@
-"""Tests for time-sliced, disk-checkpointed simulation (repro.api.checkpoint)."""
+"""Tests for time-sliced, disk-checkpointed simulation of one grid cell.
 
+The slice loop lives in :meth:`FleetWorker._run_cell`: run
+``slice_cycles`` at a time, park a :class:`PipelineSnapshot` on disk after
+each unfinished slice, stop at a slice boundary when told to abandon, and
+remove the checkpoint on completion.  These tests drive that loop in
+process (no broker) and compare against one-shot :func:`simulate`.
+"""
+
+import threading
 from dataclasses import fields
 
 import pytest
 
-from repro.api import resume_sliced, run_sliced
-from repro.core import RenoConfig, RenoRenamer
-from repro.functional.simulator import FunctionalSimulator
+from repro.api import worker as worker_mod
+from repro.api.schema import TaskLease
+from repro.api.worker import FleetWorker
+from repro.core import RenoConfig
+from repro.core.simulator import simulate
+from repro.harness.cache import outcome_key, program_digest
+from repro.store import DiskStore
 from repro.uarch.config import MachineConfig
-from repro.uarch.core import Pipeline
+from repro.uarch.snapshot import PipelineSnapshot
 from repro.workloads.base import get_workload
 
-
-@pytest.fixture(scope="module")
-def run_inputs():
-    program = get_workload("micro_call_spill").build(2)
-    trace = FunctionalSimulator(program, 2_000_000).run().trace
-    return program, trace
+NAME, SCALE = "micro_call_spill", 2
 
 
-def make_pipeline(run_inputs, reno=None):
-    program, trace = run_inputs
+def make_cell(tmp_path, slice_cycles, reno=None):
+    program = get_workload(NAME).build(SCALE)
     machine = MachineConfig.default_4wide()
-    renamer = RenoRenamer(machine.num_physical_regs, reno) if reno else None
-    return Pipeline(program, trace, machine, renamer=renamer)
+    return {
+        "workload": NAME, "scale": SCALE,
+        "machine_label": "m", "machine": machine.to_dict(),
+        "reno_label": "r", "reno": reno.to_dict() if reno else None,
+        "collect_timing": True, "record_stats": False,
+        "max_instructions": 2_000_000,
+        "outcome_key": outcome_key(program_digest(program), machine, reno,
+                                   2_000_000, True, False),
+        "cache_root": str(tmp_path / "cache"),
+        "checkpoint_path": str(tmp_path / "ckpt" / "run.ckpt"),
+        "slice_cycles": slice_cycles,
+    }
 
 
-def stats_dict(result):
-    return {f.name: getattr(result.stats, f.name) for f in fields(result.stats)}
+def make_lease(cell):
+    return TaskLease(lease_id="lease-1", job_tag="job", cell=cell,
+                     lease_ttl_s=30.0, heartbeat_every_s=30.0)
 
 
-def test_run_sliced_matches_one_shot(run_inputs, tmp_path):
-    reference = make_pipeline(run_inputs).run()
-    seen = []
-    checkpoint = tmp_path / "run.ckpt"
-    result = run_sliced(make_pipeline(run_inputs), slice_cycles=200,
-                        checkpoint_path=checkpoint,
-                        on_slice=lambda p, r: seen.append(r.finished))
-    assert stats_dict(result) == stats_dict(reference)
-    assert result.final_registers == reference.final_registers
-    assert seen[-1] and not all(seen)       # really ran in several slices
-    assert not checkpoint.exists()          # removed on completion
+def reference(reno=None):
+    return simulate(get_workload(NAME).build(SCALE),
+                    MachineConfig.default_4wide(), reno, collect_timing=True)
 
 
-def test_run_sliced_respects_max_slices(run_inputs, tmp_path):
-    checkpoint = tmp_path / "partial.ckpt"
-    partial = run_sliced(make_pipeline(run_inputs), slice_cycles=100,
-                         checkpoint_path=checkpoint, max_slices=2)
-    assert not partial.finished
-    assert partial.stats.cycles == 200
-    assert checkpoint.exists()              # parked for a later resume
+def stats_dict(timing):
+    return {f.name: getattr(timing.stats, f.name) for f in fields(timing.stats)}
 
 
-def test_resume_sliced_from_disk(run_inputs, tmp_path):
+@pytest.fixture
+def slice_saves(monkeypatch):
+    """Record each parked snapshot; optionally abandon after N of them."""
+    saves = []
+    control = {"abandon": None, "after": None}
+    original = PipelineSnapshot.save
+
+    def save(snapshot, path):
+        original(snapshot, path)
+        saves.append(snapshot.cycle)
+        if control["after"] is not None and len(saves) >= control["after"]:
+            control["abandon"].set()
+
+    monkeypatch.setattr(PipelineSnapshot, "save", save)
+    return saves, control
+
+
+def run_until_abandoned(cell, slice_saves, slices):
+    """Run ``cell`` on a fresh worker, abandoning after ``slices`` slices."""
+    saves, control = slice_saves
+    control["abandon"], control["after"] = threading.Event(), slices
+    worker = FleetWorker("http://127.0.0.1:1", worker_id="wa")
+    with pytest.raises(worker_mod._Abandoned):
+        worker._run_cell(make_lease(cell), control["abandon"])
+    control["after"] = None
+
+
+def test_run_sliced_matches_one_shot(tmp_path, slice_saves):
+    saves, _ = slice_saves
+    expected = reference().timing
+    cell = make_cell(tmp_path, slice_cycles=200)
+    worker = FleetWorker("http://127.0.0.1:1", worker_id="w")
+    result = worker._run_cell(make_lease(cell), threading.Event())
+    assert result.ok and not result.cached
+
+    outcome = DiskStore(tmp_path / "cache").get(cell["outcome_key"])
+    assert stats_dict(outcome.timing) == stats_dict(expected)
+    assert outcome.timing.final_registers == expected.final_registers
+    assert saves and saves == [200 * (i + 1) for i in range(len(saves))]
+    assert not (tmp_path / "ckpt" / "run.ckpt").exists()  # removed on completion
+
+
+def test_run_sliced_respects_max_slices(tmp_path, slice_saves):
+    saves, _ = slice_saves
+    cell = make_cell(tmp_path, slice_cycles=100)
+    run_until_abandoned(cell, slice_saves, slices=2)
+    assert saves == [100, 200]                  # stopped at the slice boundary
+    checkpoint = tmp_path / "ckpt" / "run.ckpt"
+    assert checkpoint.exists()                  # parked for a later resume
+    assert PipelineSnapshot.load(checkpoint).cycle == 200
+    assert DiskStore(tmp_path / "cache").get(cell["outcome_key"]) is None
+
+
+def test_resume_sliced_from_disk(tmp_path, slice_saves):
+    saves, _ = slice_saves
     reno = RenoConfig.reno_default()
-    reference = make_pipeline(run_inputs, reno).run()
-    checkpoint = tmp_path / "resume.ckpt"
-    partial = run_sliced(make_pipeline(run_inputs, reno), slice_cycles=150,
-                         checkpoint_path=checkpoint, max_slices=3)
-    assert not partial.finished
-    # A different process would rebuild the pipeline from the same inputs.
-    resumed = resume_sliced(make_pipeline(run_inputs, reno), checkpoint,
-                            slice_cycles=150)
-    assert resumed.finished
-    assert stats_dict(resumed) == stats_dict(reference)
-    assert resumed.final_registers == reference.final_registers
+    expected = reference(reno).timing
+    cell = make_cell(tmp_path, slice_cycles=150, reno=reno)
+    run_until_abandoned(cell, slice_saves, slices=3)
+    checkpoint = tmp_path / "ckpt" / "run.ckpt"
+    assert checkpoint.exists()
+
+    # A different worker rebuilds the pipeline from the same inputs and
+    # resumes at the parked cycle rather than starting over.
+    saves.clear()
+    resumer = FleetWorker("http://127.0.0.1:1", worker_id="wb")
+    result = resumer._run_cell(make_lease(cell), threading.Event())
+    assert result.ok and not result.cached
+    assert saves == [600]                       # resumed at 450, not at 0
+
+    outcome = DiskStore(tmp_path / "cache").get(cell["outcome_key"])
+    assert stats_dict(outcome.timing) == stats_dict(expected)
+    assert outcome.timing.final_registers == expected.final_registers
     assert not checkpoint.exists()
-
-
-def test_run_sliced_validates_budget(run_inputs):
-    with pytest.raises(ValueError, match="slice_cycles"):
-        run_sliced(make_pipeline(run_inputs), slice_cycles=0)

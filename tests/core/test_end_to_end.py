@@ -2,15 +2,17 @@
 
 The central property: with any RENO configuration, the timing simulator's
 architectural results must exactly match the functional simulator's.  The
-``simulate`` helper enforces this (``verify=True`` raises otherwise), so
+``simulate`` helper enforces this (it raises otherwise), so
 these tests simply exercise many (workload × configuration) points and then
 check the paper's qualitative claims about elimination and performance.
 """
 
 import pytest
 
-from repro.core import RenoConfig, run_config_comparison, simulate_workload
+from repro.core import RenoConfig, simulate, simulate_workload
+from repro.functional.simulator import FunctionalSimulator
 from repro.uarch import MachineConfig
+from repro.workloads.base import get_workload
 
 CONFIG_MATRIX = {
     "ME": RenoConfig.reno_me(),
@@ -20,6 +22,14 @@ CONFIG_MATRIX = {
     "FullInteg": RenoConfig.integration_only_full(),
     "LoadsInteg": RenoConfig.integration_only_loads(),
 }
+
+def compare_configs(name, configs):
+    """Simulate one workload under several RENO configs on one functional trace."""
+    program = get_workload(name).build(1)
+    functional = FunctionalSimulator(program, 2_000_000).run()
+    return {label: simulate(program, None, reno, trace=functional)
+            for label, reno in configs.items()}
+
 
 MICRO_KERNELS = [
     "micro_sum", "micro_moves", "micro_addi_chain", "micro_redundant_loads",
@@ -112,17 +122,17 @@ def test_eliminated_instructions_do_not_issue():
 
 def test_reno_never_slows_down_micro_kernels_catastrophically():
     for name in MICRO_KERNELS:
-        outcomes = run_config_comparison(name, {"BASE": None, "RENO": RenoConfig.reno_default()})
+        outcomes = compare_configs(name, {"BASE": None, "RENO": RenoConfig.reno_default()})
         assert outcomes["RENO"].cycles <= outcomes["BASE"].cycles * 1.25, name
 
 
 def test_reno_speeds_up_foldable_streaming_code():
-    outcomes = run_config_comparison("gzip_like", {"BASE": None, "RENO": RenoConfig.reno_default()})
+    outcomes = compare_configs("gzip_like", {"BASE": None, "RENO": RenoConfig.reno_default()})
     assert outcomes["RENO"].cycles < outcomes["BASE"].cycles
 
 
 def test_elimination_rate_grows_with_optimization_set():
-    outcomes = run_config_comparison(
+    outcomes = compare_configs(
         "vortex_like",
         {"ME": RenoConfig.reno_me(), "CF+ME": RenoConfig.reno_cf_me(),
          "RENO": RenoConfig.reno_default()},
@@ -136,7 +146,7 @@ def test_elimination_rate_grows_with_optimization_set():
 
 def test_default_reno_uses_fewer_it_lookups_than_full_integration():
     """The §4.4 division of labor: loads-only IT needs far less bandwidth."""
-    outcomes = run_config_comparison(
+    outcomes = compare_configs(
         "vortex_like",
         {"RENO": RenoConfig.reno_default(),
          "RENO+FullInteg": RenoConfig.reno_full_integration()},

@@ -147,13 +147,13 @@ def test_releasing_a_free_register_raises(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("config_name", list(CONFIGS))
 def test_architectural_state_preserved_end_to_end(seed, config_name):
-    """The pipeline's verify=True check reconstructs the architectural state
+    """simulate()'s final-state check reconstructs the architectural state
     from the (shared) physical registers and map-table displacements and
     compares it against the functional simulator — the end-to-end proof that
     no RENO transformation corrupted a value."""
     program = random_program(seed).assemble()
     outcome = simulate(program, MachineConfig.default_4wide(),
-                       CONFIGS[config_name], verify=True)
+                       CONFIGS[config_name])
     assert outcome.stats.committed == outcome.functional.dynamic_count
     if config_name != "FullInteg":
         # Move/CF-capable configs always find something in these kernels.

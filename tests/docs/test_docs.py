@@ -87,15 +87,23 @@ def _resolves(module: str, name: str) -> bool:
     return True
 
 
-def test_documented_repro_imports_resolve():
-    files = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
-    checked, unresolved = 0, []
-    for path in files:
+def _documented_sources():
+    """``(path, first line, source)`` of every README/docs python fence and
+    every ``examples/*.py`` script."""
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
         for line, source in _python_fences(path):
-            for module, name in _repro_imports(source):
-                checked += 1
-                if not _resolves(module, name):
-                    unresolved.append(
-                        f"{path.relative_to(ROOT)}:{line}: from {module} import {name}")
-    assert checked, "no documented repro imports found"
+            yield path, line, source
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        yield path, 1, path.read_text()
+
+
+def test_documented_repro_imports_resolve():
+    checked, unresolved = set(), []
+    for path, line, source in _documented_sources():
+        for module, name in _repro_imports(source):
+            checked.add(path.suffix)
+            if not _resolves(module, name):
+                unresolved.append(
+                    f"{path.relative_to(ROOT)}:{line}: from {module} import {name}")
+    assert checked == {".md", ".py"}, "no documented or example repro imports found"
     assert not unresolved, "\n".join(unresolved)

@@ -229,3 +229,10 @@ def test_reused_job_tag_is_rejected():
     broker.submit_cells("job", cells("a", 1))
     with pytest.raises(ValueError, match="already submitted"):
         broker.submit_cells("job", cells("b", 1))
+
+
+@pytest.mark.parametrize("knob", ["lease_ttl_s", "max_attempts",
+                                  "max_queue_depth", "slice_cycles"])
+def test_policy_knob_of_zero_is_rejected(knob):
+    with pytest.raises(ValueError, match=knob):
+        FleetBroker(**{knob: 0})

@@ -91,6 +91,20 @@ def test_warm_cache_run_computes_nothing(tmp_path):
         assert outcome.program is None and outcome.functional is None
 
 
+def test_storeless_grid_never_computes_a_digest(monkeypatch):
+    """Digests only key the result store; a grid run without one skips them."""
+    def refuse(program):
+        raise AssertionError("program_digest called without a result store")
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("repro")
+                and getattr(module, "program_digest", None) is program_digest):
+            monkeypatch.setattr(module, "program_digest", refuse)
+    report = run_experiment("fig8", suite="micro", workloads=SMALL, jobs=1,
+                            cache=False)
+    assert report.rows
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
