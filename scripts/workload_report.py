@@ -11,7 +11,7 @@ def main() -> None:
         totals = {"moves": 0.0, "addi": 0.0, "loads": 0.0, "stores": 0.0, "branches": 0.0, "n": 0}
         for workload in workloads:
             result = FunctionalSimulator(workload.build(1), max_instructions=500_000).run()
-            mix = mix_statistics(result.trace)
+            mix = mix_statistics(result.trace, result.program)
             print(
                 f"  {workload.name:26s} {result.dynamic_count:7d}  "
                 f"mov={mix.move_fraction:5.1%} addi={mix.reg_imm_add_fraction:5.1%} "

@@ -27,17 +27,15 @@ from repro.core.fusion import fusion_extra_latency
 from repro.core.integration import IntegrationEntry, IntegrationTable
 from repro.core.maptable import ExtendedMapTable, Mapping
 from repro.core.refcount import ReferenceCountManager
-from repro.functional.trace import DynamicInstruction
+from repro.functional.trace import Trace
 from repro.isa.instruction import (
     DF_IT_ALU,
     DF_LOAD,
     DF_MOVE,
     DF_REG_IMM_ADD,
     DF_STORE,
-    Instruction,
-    decode_op,
 )
-from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.opcodes import Opcode
 from repro.isa.registers import NUM_LOGICAL_REGS
 from repro.isa.semantics import fits_signed
 from repro.uarch.rename import RenameResult, Renamer
@@ -63,6 +61,11 @@ _ELIM_STATS_KEYS = {
     "cse": "eliminated_cse",
     "ra": "eliminated_ra",
 }
+
+
+def _result_of(trace: Trace, seq: int) -> int | None:
+    """Row ``seq``'s architectural result, None when it produces none."""
+    return trace.result[seq] if trace.result_has[seq] else None
 
 
 class RenoRenamer(Renamer):
@@ -137,9 +140,7 @@ class RenoRenamer(Renamer):
         # Group state is reset lazily by the next begin_group.
         pass
 
-    def rename_next(self, dyn: DynamicInstruction, op: tuple | None = None) -> RenameResult | None:
-        if op is None:
-            op = decode_op(dyn.instruction)
+    def rename_next(self, op: tuple, trace: Trace, seq: int) -> RenameResult | None:
         source_logicals = op[9]                   # decoded source registers
         map_entries = self.map_table._entries     # inlined ExtendedMapTable.get
         source_mappings = [map_entries[logical] for logical in source_logicals]
@@ -148,7 +149,7 @@ class RenoRenamer(Renamer):
         elimination = None
         if dest >= 0:
             if op[0] & self._elig_mask:
-                elimination = self._try_eliminate(dyn, op, source_mappings, dest)
+                elimination = self._try_eliminate(trace, seq, op, source_mappings, dest)
             if elimination is None and not self._free_list:
                 return None  # must allocate, but no physical register is free
 
@@ -227,7 +228,7 @@ class RenoRenamer(Renamer):
             # Loads/stores always create entries; plain ALU work only does
             # under the full policy — hoisting the test here skips the call
             # for the (majority) plain-ALU case of the loads-only policy.
-            self._insert_it_entries(dyn, op, source_mappings, result)
+            self._insert_it_entries(trace, seq, op, source_mappings, result)
         return result
 
     def commit(self, result: RenameResult) -> None:
@@ -259,12 +260,14 @@ class RenoRenamer(Renamer):
 
     def _try_eliminate(
         self,
-        dyn: DynamicInstruction,
+        trace: Trace,
+        seq: int,
         op: tuple,
         source_mappings: list[Mapping],
         dest: int,
     ) -> tuple[str, int, int, bool] | None:
-        """Decide whether the instruction can be collapsed.
+        """Decide whether the instruction (row ``seq`` of ``trace``) can be
+        collapsed.
 
         Returns ``(kind, shared_preg, out_disp, needs_reexecution)`` or None.
         """
@@ -291,15 +294,15 @@ class RenoRenamer(Renamer):
                         return (kind, source.preg, new_disp, False)
                     self.stats["overflow_cancellations"] += 1
 
-        # Inlined _it_lookup_eligible.
+        # Which instructions probe the IT under the configured policy.
         if self.integration_table is not None and (
                 flags & DF_LOAD
                 or (self._policy_full and flags & DF_IT_ALU)):
-            return self._try_integrate(dyn, op, source_mappings)
+            return self._try_integrate(trace, seq, op, source_mappings)
         return None
 
     def _try_integrate(
-        self, dyn: DynamicInstruction, op: tuple, source_mappings: list[Mapping]
+        self, trace: Trace, seq: int, op: tuple, source_mappings: list[Mapping]
     ) -> tuple[str, int, int, bool] | None:
         """RENO_CSE+RA: probe the integration table for an existing value."""
         key = self._it_key(op, source_mappings)
@@ -313,7 +316,8 @@ class RenoRenamer(Renamer):
         # Stand-in for the pre-retirement re-execution check: integrate only
         # when the shared register will hold the architecturally correct
         # value.  A mismatch corresponds to a squashed integration.
-        if entry.value is None or dyn.result is None or entry.value != dyn.result:
+        if (entry.value is None or not trace.result_has[seq]
+                or entry.value != trace.result[seq]):
             stats["it_value_mismatches"] += 1
             return None
         stats["it_hits"] += 1
@@ -323,14 +327,6 @@ class RenoRenamer(Renamer):
     # ------------------------------------------------------------------
     # Integration-table maintenance
     # ------------------------------------------------------------------
-
-    def _it_lookup_eligible(self, instruction: Instruction) -> bool:
-        """Which instructions probe the IT under the configured policy."""
-        if instruction.spec.is_load:
-            return True
-        if self.config.integration_policy != IT_POLICY_FULL:
-            return False
-        return instruction.spec.op_class in (OpClass.ALU, OpClass.SHIFT)
 
     def _it_key(self, op: tuple, source_mappings: list[Mapping]) -> tuple:
         # Inlined IntegrationTable.make_key: the signature is the plain
@@ -350,7 +346,8 @@ class RenoRenamer(Renamer):
 
     def _insert_it_entries(
         self,
-        dyn: DynamicInstruction,
+        trace: Trace,
+        seq: int,
         op: tuple,
         source_mappings: list[Mapping],
         result: RenameResult,
@@ -361,14 +358,14 @@ class RenoRenamer(Renamer):
         """
         flags = op[0]
         if flags & DF_STORE:
-            self._insert_reverse_store_entry(dyn, op, source_mappings)
+            self._insert_reverse_store_entry(trace, seq, op, source_mappings)
             return
         if flags & DF_LOAD and result.dest_preg is not None:
             key = self._it_key(op, source_mappings)
             # Inlined _insert (one insertion per executed load).
             self.integration_table.insert(IntegrationEntry(
                 key=key, out_preg=result.dest_preg, out_disp=0,
-                origin="load", value=dyn.result,
+                origin="load", value=_result_of(trace, seq),
             ))
             self.stats["it_insertions"] += 1
             return
@@ -379,7 +376,7 @@ class RenoRenamer(Renamer):
         key = self._it_key(op, source_mappings)
         self._insert(IntegrationEntry(
             key=key, out_preg=result.dest_preg, out_disp=0,
-            origin="alu", value=dyn.result,
+            origin="alu", value=_result_of(trace, seq),
         ))
         if flags & DF_REG_IMM_ADD:
             # Reverse entry: lets the matching future increment share the
@@ -393,11 +390,11 @@ class RenoRenamer(Renamer):
             )
             self._insert(IntegrationEntry(
                 key=reverse_key, out_preg=source.preg, out_disp=source.disp,
-                origin="alu", value=dyn.rs1_value,
+                origin="alu", value=trace.rs1_value[seq],
             ))
 
     def _insert_reverse_store_entry(
-        self, dyn: DynamicInstruction, op: tuple, source_mappings: list[Mapping]
+        self, trace: Trace, seq: int, op: tuple, source_mappings: list[Mapping]
     ) -> None:
         """Stores create entries shaped like the load that will read the value."""
         load_opcode = _STORE_TO_LOAD[op[6]]
@@ -410,7 +407,8 @@ class RenoRenamer(Renamer):
         # (_insert inlined: one insertion per executed store.)
         self.integration_table.insert(IntegrationEntry(
             key=key, out_preg=data_mapping.preg, out_disp=data_mapping.disp,
-            origin="store", value=dyn.store_value,
+            origin="store",
+            value=trace.store_value[seq] if trace.store_value_has[seq] else None,
         ))
         self.stats["it_insertions"] += 1
 

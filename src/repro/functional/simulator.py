@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.functional.memory import Memory
 from repro.functional.state import ArchState
-from repro.functional.trace import DynamicInstruction
-from repro.isa.opcodes import OpClass, Opcode
+from repro.functional.trace import Trace
+from repro.isa.opcodes import OpClass
 from repro.isa.program import DATA_BASE, INSTRUCTION_BYTES, STACK_BASE, Program
 from repro.isa.registers import RegisterNames as R
 from repro.isa.semantics import alu_eval, branch_taken, mask64, sign_extend
@@ -23,8 +23,8 @@ class ExecutionResult:
 
     Attributes:
         program: The program that was executed.
-        trace: The dynamic instruction trace in program (retirement) order.
-            The trailing ``halt`` instruction is included.
+        trace: The dynamic instruction trace in program (retirement) order,
+            as typed columns.  The trailing ``halt`` instruction is included.
         state: Final architectural register state.
         memory: Final memory contents.
         halted: True if the program executed a ``halt`` instruction.
@@ -32,12 +32,11 @@ class ExecutionResult:
     """
 
     program: Program
-    trace: list[DynamicInstruction]
+    trace: Trace
     state: ArchState
     memory: Memory
     halted: bool
     dynamic_count: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 class FunctionalSimulator:
@@ -59,118 +58,129 @@ class FunctionalSimulator:
         self.state.write(R.GP, DATA_BASE)
         self.memory = Memory(program.initial_memory)
 
-    def run(self, record_trace: bool = True) -> ExecutionResult:
+    def run(self) -> ExecutionResult:
         """Run the program to completion (or to the instruction budget).
 
-        Args:
-            record_trace: If False, the trace list is left empty; useful when
-                only the final state or the dynamic count is needed.
-
         Returns:
-            An :class:`ExecutionResult`.
+            An :class:`ExecutionResult` whose trace columns were written
+            here, once, one row per executed instruction.
         """
         program = self.program
         state = self.state
-        trace: list[DynamicInstruction] = []
+        memory = self.memory
+        trace = Trace()
+        store_pages: set[int] = set()
         # Hot-loop aliases (this loop runs once per dynamic instruction).
         instructions = program.instructions
         index_of = program.index_of
-        execute_one = self._execute_one
-        append = trace.append
+        pc_of = program.pc_of
+        read = state.read
+        write = state.write
+        alu_classes = (OpClass.ALU, OpClass.SHIFT, OpClass.MUL, OpClass.DIV)
+        append_index = trace.index.append
+        append_pc = trace.pc.append
+        append_result = trace.result.append
+        append_result_has = trace.result_has.append
+        append_eff_addr = trace.eff_addr.append
+        append_store_value = trace.store_value.append
+        append_store_value_has = trace.store_value_has.append
+        append_rs1_value = trace.rs1_value.append
+        append_taken = trace.taken.append
+        append_target_pc = trace.target_pc.append
+        append_target_has = trace.target_has.append
         code_length = len(instructions)
         seq = 0
         halted = False
 
         while seq < self.max_instructions:
-            index = index_of(state.pc)
+            pc = state.pc
+            index = index_of(pc)
             if index < 0 or index >= code_length:
                 raise ExecutionLimitExceeded(
                     f"{program.name}: control transferred outside the code segment "
-                    f"(pc={state.pc:#x})"
+                    f"(pc={pc:#x})"
                 )
             instruction = instructions[index]
-            dyn = execute_one(seq, index, instruction)
-            if record_trace:
-                append(dyn)
+            spec = instruction.spec
+            fallthrough = pc + INSTRUCTION_BYTES
+            rs1_value = read(instruction.rs1) if spec.reads_rs1 else 0
+            rs2_value = read(instruction.rs2) if spec.reads_rs2 else 0
+            result = eff_addr = store_value = target_pc = 0
+            result_has = store_value_has = target_has = 0
+            taken = -1
+            next_pc = fallthrough
+
+            op_class = spec.op_class
+            if op_class in alu_classes:
+                result = alu_eval(instruction.opcode, rs1_value, rs2_value, instruction.imm)
+                result_has = 1
+                if instruction.rd is not None:
+                    write(instruction.rd, result)
+            elif op_class is OpClass.LOAD:
+                eff_addr = mask64(rs1_value + instruction.imm)
+                raw = memory.read(eff_addr, spec.mem_bytes)
+                result = sign_extend(raw, 8 * spec.mem_bytes) if spec.mem_signed else raw
+                result_has = 1
+                write(instruction.rd, result)
+            elif op_class is OpClass.STORE:
+                eff_addr = mask64(rs1_value + instruction.imm)
+                store_value = rs2_value
+                store_value_has = 1
+                memory.write(eff_addr, spec.mem_bytes, store_value)
+                # Both pages of a store that straddles a page boundary.
+                store_pages.add(eff_addr >> 12)
+                store_pages.add((eff_addr + spec.mem_bytes - 1) >> 12)
+            elif op_class is OpClass.BRANCH:
+                taken = int(branch_taken(instruction.opcode, rs1_value))
+                target_pc = pc_of(instruction.target)
+                target_has = 1
+                next_pc = target_pc if taken else fallthrough
+            elif op_class is OpClass.JUMP:
+                taken = 1
+                next_pc = target_pc = pc_of(instruction.target)
+                target_has = 1
+            elif op_class is OpClass.CALL:
+                taken = 1
+                result = fallthrough
+                result_has = 1
+                write(instruction.rd, result)
+                next_pc = target_pc = pc_of(instruction.target)
+                target_has = 1
+            elif op_class is OpClass.RET:
+                taken = 1
+                next_pc = target_pc = rs1_value
+                target_has = 1
+            elif op_class is not OpClass.NOP and op_class is not OpClass.HALT:
+                raise ValueError(f"unhandled op class {op_class}")  # pragma: no cover
+
+            append_index(index)
+            append_pc(pc)
+            append_result(result)
+            append_result_has(result_has)
+            append_eff_addr(eff_addr)
+            append_store_value(store_value)
+            append_store_value_has(store_value_has)
+            append_rs1_value(rs1_value)
+            append_taken(taken)
+            append_target_pc(target_pc)
+            append_target_has(target_has)
             seq += 1
-            if instruction.opcode is Opcode.HALT:
+            if op_class is OpClass.HALT:
                 halted = True
                 break
-            state.pc = dyn.next_pc
+            state.pc = next_pc
         else:
             raise ExecutionLimitExceeded(
                 f"{program.name}: exceeded the budget of "
                 f"{self.max_instructions} dynamic instructions"
             )
 
+        trace.store_pages = frozenset(store_pages)
         return ExecutionResult(
             program=program,
             trace=trace,
             state=state,
-            memory=self.memory,
+            memory=memory,
             halted=halted,
             dynamic_count=seq,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _execute_one(self, seq: int, index: int, instruction) -> DynamicInstruction:
-        """Execute a single instruction and build its trace record."""
-        program = self.program
-        state = self.state
-        memory = self.memory
-        spec = instruction.spec
-        pc = state.pc
-        fallthrough = pc + INSTRUCTION_BYTES
-
-        rs1_value = state.read(instruction.rs1) if spec.reads_rs1 else 0
-        rs2_value = state.read(instruction.rs2) if spec.reads_rs2 else 0
-
-        result: int | None = None
-        eff_addr: int | None = None
-        store_value: int | None = None
-        taken: bool | None = None
-        target_pc: int | None = None
-        next_pc = fallthrough
-
-        op_class = spec.op_class
-        if op_class in (OpClass.ALU, OpClass.SHIFT, OpClass.MUL, OpClass.DIV):
-            result = alu_eval(instruction.opcode, rs1_value, rs2_value, instruction.imm)
-            if instruction.rd is not None:
-                state.write(instruction.rd, result)
-        elif op_class is OpClass.LOAD:
-            eff_addr = mask64(rs1_value + instruction.imm)
-            raw = memory.read(eff_addr, spec.mem_bytes)
-            result = sign_extend(raw, 8 * spec.mem_bytes) if spec.mem_signed else raw
-            state.write(instruction.rd, result)
-        elif op_class is OpClass.STORE:
-            eff_addr = mask64(rs1_value + instruction.imm)
-            store_value = rs2_value
-            memory.write(eff_addr, spec.mem_bytes, store_value)
-        elif op_class is OpClass.BRANCH:
-            taken = branch_taken(instruction.opcode, rs1_value)
-            target_pc = program.pc_of(instruction.target)
-            next_pc = target_pc if taken else fallthrough
-        elif op_class is OpClass.JUMP:
-            taken = True
-            target_pc = program.pc_of(instruction.target)
-            next_pc = target_pc
-        elif op_class is OpClass.CALL:
-            taken = True
-            result = fallthrough
-            state.write(instruction.rd, result)
-            target_pc = program.pc_of(instruction.target)
-            next_pc = target_pc
-        elif op_class is OpClass.RET:
-            taken = True
-            target_pc = rs1_value
-            next_pc = target_pc
-        elif op_class in (OpClass.NOP, OpClass.HALT):
-            pass
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unhandled op class {op_class}")
-
-        return DynamicInstruction(
-            seq, index, pc, instruction, rs1_value, rs2_value, result,
-            eff_addr, store_value, taken, next_pc, target_pc,
         )

@@ -616,7 +616,7 @@ def instruction_mix(
 
         workload = get_workload(entry) if isinstance(entry, str) else entry
         result = FunctionalSimulator(workload.build(scale), 2_000_000).run()
-        mix = mix_statistics(result.trace)
+        mix = mix_statistics(result.trace, result.program)
         values = [mix.move_fraction, mix.reg_imm_add_fraction, mix.load_fraction,
                   mix.store_fraction, mix.branch_fraction]
         sums = [total + value for total, value in zip(sums, values)]

@@ -275,8 +275,8 @@ def decode_program(instructions: list[Instruction]) -> list[tuple]:
     """Decoded-op cache for a whole program, indexed by static index.
 
     The static index is the PC key in disguise: instruction *i* lives at
-    ``pc = CODE_BASE + 4 * i``, and every
-    :class:`~repro.functional.trace.DynamicInstruction` carries that index,
-    so the pipeline reaches the decoded tuple with one list subscript.
+    ``pc = CODE_BASE + 4 * i``, and the ``index`` column of every
+    :class:`~repro.functional.trace.Trace` row carries it, so the pipeline
+    reaches the decoded tuple with one list subscript.
     """
     return [decode_op(instruction) for instruction in instructions]

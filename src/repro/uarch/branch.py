@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.functional.trace import DynamicInstruction
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import OpClass, Opcode, spec_for
 from repro.uarch.config import MachineConfig
 
 
@@ -204,47 +203,41 @@ class BranchUnit:
         self.btb_misses = 0
         self.ras_mispredictions = 0
 
-    def process(self, dyn: DynamicInstruction) -> BranchOutcome:
+    def process(self, opcode: Opcode, pc: int, taken: bool, target_pc: int) -> BranchOutcome:
         """Predict + train on one fetched control instruction's outcome.
 
-        Returns one of four shared, read-only :class:`BranchOutcome`
-        instances (never mutate the result).
+        ``taken`` and ``target_pc`` are the instruction's architectural
+        direction and taken-path target (trace columns ``taken`` and
+        ``target_pc``).  Returns one of four shared, read-only
+        :class:`BranchOutcome` instances (never mutate the result).
         """
-        op_class = dyn.instruction.spec.op_class
-        taken = dyn.taken is True
+        op_class = spec_for(opcode).op_class
         outcome = _OK
 
         if op_class is OpClass.BRANCH:
             self.conditional_branches += 1
-            predicted_taken = self.direction.predict_and_update(dyn.pc, taken)
+            predicted_taken = self.direction.predict_and_update(pc, taken)
             if predicted_taken != taken:
                 self.mispredictions += 1
                 outcome = _DIRECTION
             elif taken:
-                outcome = self._check_target(dyn)
+                outcome = self._check_target(pc, target_pc)
         elif op_class is OpClass.JUMP:
-            outcome = self._check_target(dyn)
+            outcome = self._check_target(pc, target_pc)
         elif op_class is OpClass.CALL:
-            outcome = self._check_target(dyn)
-            self.ras.push(dyn.pc + 4)
+            outcome = self._check_target(pc, target_pc)
+            self.ras.push(pc + 4)
         elif op_class is OpClass.RET:
             predicted = self.ras.pop()
-            if predicted != dyn.target_pc:
+            if predicted != target_pc:
                 self.ras_mispredictions += 1
                 outcome = _RAS
         return outcome
 
-    def _check_target(self, dyn: DynamicInstruction) -> BranchOutcome:
-        predicted_target = self.btb.predict(dyn.pc)
-        self.btb.update(dyn.pc, dyn.target_pc)
-        if predicted_target != dyn.target_pc:
+    def _check_target(self, pc: int, target_pc: int) -> BranchOutcome:
+        predicted_target = self.btb.predict(pc)
+        self.btb.update(pc, target_pc)
+        if predicted_target != target_pc:
             self.btb_misses += 1
             return _BTB
         return _OK
-
-    @property
-    def misprediction_rate(self) -> float:
-        """Direction mispredictions per conditional branch."""
-        if not self.conditional_branches:
-            return 0.0
-        return self.mispredictions / self.conditional_branches

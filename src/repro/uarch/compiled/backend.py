@@ -59,7 +59,7 @@ class CompiledBackend(CycleLoopBackend):
     def prepare(self, pipeline) -> None:
         """Build the flat ABI buffers for this pipeline ahead of time.
 
-        Called from ``Pipeline.__init__`` so the static flattening (trace
+        Called from ``Pipeline.__init__`` so the static set-up (decoded-op
         tables, geometry, buffer allocation) happens outside the timed
         region.  Also forces the one-time kernel compile/load.
         """

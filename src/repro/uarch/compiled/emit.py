@@ -58,7 +58,8 @@ WINDOW_FIELDS: tuple[str, ...] = (
 #: * ``rename`` holds RenameResult objects, rebuilt field-by-field from
 #:   the flattened arrays at marshal-out;
 #: * ``decoded`` holds decoded-op tuples, re-pointed from the pipeline's
-#:   static ``_trace_ops`` at marshal-out.
+#:   static ``_decoded`` table (via the trace's ``index`` column) at
+#:   marshal-out.
 WINDOW_EXEMPT: frozenset[str] = frozenset({
     "capacity", "size", "mask", "issue_cycle", "retire_cycle",
     "rename", "decoded",
@@ -155,9 +156,9 @@ POINTERS: tuple[str, ...] = (
     "SSIT", "VIO_LOG",
     # -- memory page pool ---------------------------------------------
     "PAGE_NUM", "PAGE_DIRTY", "PH_KEY", "PH_VAL",
-    # -- trace arrays (static per pipeline) ---------------------------
+    # -- trace columns (the Trace's own arrays, shared per trace) -----
     "T_PC", "T_SIDX", "T_RES", "T_RHAS", "T_EFF", "T_SV", "T_SVHAS",
-    "T_RS1", "T_RS1HAS", "T_TAKEN", "T_TGT", "T_THAS",
+    "T_RS1", "T_TAKEN", "T_TGT", "T_THAS",
     # -- decoded-op arrays (static per program) -----------------------
     "S_FLAGS", "S_CLASS", "S_LAT", "S_MEMB", "S_DEST", "S_IMM", "S_OPC",
     "S_FOLD", "S_MMASK", "S_NSRC", "S_SRC0", "S_SRC1",
@@ -1057,7 +1058,7 @@ static void it_insert_entries(Ctx *c, i64 seq, i64 sidx, i64 n,
               ORIGIN_ALU, P(T_RES)[seq], P(T_RHAS)[seq]);
     if (flags & DF_REG_IMM_ADD)
         it_insert(c, OPID_ADDI, -P(S_FOLD)[sidx], 1, dest_preg, 0, 0, 0,
-                  p0, d0, ORIGIN_ALU, P(T_RS1)[seq], P(T_RS1HAS)[seq]);
+                  p0, d0, ORIGIN_ALU, P(T_RS1)[seq], 1);
 }
 """
 

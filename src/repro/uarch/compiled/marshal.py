@@ -2,10 +2,14 @@
 and the compiled kernel's flat int64 ABI.
 
 One :class:`KernelState` is built per pipeline (cached by the backend in a
-``WeakKeyDictionary``).  Construction flattens everything *static* — the
-dynamic trace, the decoded-op tables, the per-opcode tables, the machine
-geometry — and allocates every dynamic buffer once, so a ``run_cycles``
-call only copies the *live* simulation state in and out.
+``WeakKeyDictionary``).  The dynamic trace is not copied: the functional
+simulator already recorded it as typed columns in the kernel's ``T_*``
+typecodes, so construction points the ``T_*`` pointer slots at the trace's
+own arrays, and every pipeline built on one trace hands the kernel the same
+buffers.  Construction flattens the rest of what is *static* — the
+decoded-op tables, the per-opcode tables, the machine geometry — and
+allocates every dynamic buffer once, so a ``run_cycles`` call only copies
+the *live* simulation state in and out.
 
 The contract that makes the no-side-effects-on-error strategy work:
 :meth:`KernelState.marshal_in` never mutates any Python object — it only
@@ -32,7 +36,7 @@ from array import array
 
 from repro.core.integration import IntegrationEntry
 from repro.core.maptable import Mapping
-from repro.isa.instruction import DF_LOAD, DF_STORE
+from repro.isa.instruction import DF_LOAD
 from repro.uarch.compiled import emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
 from repro.uarch.lsq import StoreQueueEntry
@@ -43,6 +47,15 @@ _RN_SCALARS = (
     "RN_MOVES", "RN_FOLDS", "RN_CSE", "RN_RA", "RN_OVERFLOW",
     "RN_DEP_BLOCKS", "RN_IT_LOOKUPS", "RN_IT_HITS", "RN_IT_INS",
     "RN_IT_VALMIS",
+)
+
+#: ``T_*`` pointer-block member -> the :class:`~repro.functional.trace.Trace`
+#: column it aliases (the column typecodes are the ABI's).
+_TRACE_COLUMNS = (
+    ("T_PC", "pc"), ("T_SIDX", "index"), ("T_RES", "result"),
+    ("T_RHAS", "result_has"), ("T_EFF", "eff_addr"), ("T_SV", "store_value"),
+    ("T_SVHAS", "store_value_has"), ("T_RS1", "rs1_value"),
+    ("T_TAKEN", "taken"), ("T_TGT", "target_pc"), ("T_THAS", "target_has"),
 )
 
 #: Unsigned-64 mask (python ints are unbounded; the ABI is 64-bit).
@@ -131,7 +144,8 @@ class KernelState:
     """
 
     def __init__(self, pipeline):
-        """Flatten the static tables and allocate every dynamic buffer."""
+        """Adopt the trace columns, flatten the static tables and allocate
+        every dynamic buffer."""
         config = pipeline.config
         window = pipeline.window
         iq_cap = config.issue_queue_size
@@ -175,6 +189,9 @@ class KernelState:
         self.sc = array("q", bytes(8 * len(SCALARS)))
         self.arr: dict[str, array] = {}
         self.pt = (ctypes.c_void_p * len(POINTERS))()
+        trace = pipeline.trace
+        for name, column in _TRACE_COLUMNS:
+            self.arr[name] = getattr(trace, column)
         self._build_static(pipeline)
         self._alloc_dynamic(config)
         self._seed_geometry(pipeline)
@@ -182,7 +199,7 @@ class KernelState:
         self._page_capacity = 0
         self._pages_buf = b""
         self._pages_view = None
-        self._store_pages = self._collect_store_pages(pipeline)
+        self._store_pages = trace.store_pages
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -201,38 +218,7 @@ class KernelState:
             pt[index] = self.arr[name].buffer_info()[0]
 
     def _build_static(self, pipeline) -> None:
-        """Flatten the trace, decoded-op and per-opcode tables."""
-        total = self.total
-        trace = pipeline.trace
-        self._new("T_PC", "Q", total)[:] = array(
-            "Q", (dyn.pc for dyn in trace))
-        self._new("T_SIDX", "q", total)[:] = array(
-            "q", (dyn.index for dyn in trace))
-        self._new("T_RES", "Q", total)[:] = array(
-            "Q", (0 if dyn.result is None else dyn.result for dyn in trace))
-        self._new("T_RHAS", "q", total)[:] = array(
-            "q", (0 if dyn.result is None else 1 for dyn in trace))
-        self._new("T_EFF", "Q", total)[:] = array(
-            "Q", (0 if dyn.eff_addr is None else dyn.eff_addr for dyn in trace))
-        self._new("T_SV", "Q", total)[:] = array(
-            "Q", (0 if dyn.store_value is None else dyn.store_value
-                  for dyn in trace))
-        self._new("T_SVHAS", "q", total)[:] = array(
-            "q", (0 if dyn.store_value is None else 1 for dyn in trace))
-        self._new("T_RS1", "Q", total)[:] = array(
-            "Q", (dyn.rs1_value for dyn in trace))
-        # rs1_value is always materialised in the trace (default 0), so the
-        # has-flag is constant 1; kept as an array for ABI uniformity.
-        self._new("T_RS1HAS", "q", total)[:] = array("q", (1,) * total)
-        self._new("T_TAKEN", "q", total)[:] = array(
-            "q", (-1 if dyn.taken is None else int(dyn.taken)
-                  for dyn in trace))
-        self._new("T_TGT", "Q", total)[:] = array(
-            "Q", (0 if dyn.target_pc is None else dyn.target_pc
-                  for dyn in trace))
-        self._new("T_THAS", "q", total)[:] = array(
-            "q", (0 if dyn.target_pc is None else 1 for dyn in trace))
-
+        """Flatten the decoded-op and per-opcode tables."""
         decoded = pipeline._decoded
         n_static = len(decoded)
         self._new("S_FLAGS", "q", n_static)[:] = array(
@@ -408,22 +394,6 @@ class KernelState:
         put("WK_MASK", self.wk_mask)
         put("HEAP_CAP", self.node_cap)
         put("VIO_CAP", self.vio_cap)
-
-    @staticmethod
-    def _collect_store_pages(pipeline) -> frozenset:
-        """Every page any store in the trace can create or dirty.
-
-        Precomputed once so each marshal-in can build a page pool covering
-        all pages the kernel might write, including straddles.
-        """
-        decoded = pipeline._decoded
-        pages = set()
-        for dyn in pipeline.trace:
-            op = decoded[dyn.index]
-            if op[0] & DF_STORE:
-                pages.add(dyn.eff_addr >> 12)
-                pages.add((dyn.eff_addr + op[3] - 1) >> 12)
-        return frozenset(pages)
 
     def _ensure_pages(self, npool: int) -> None:
         """Size the page-pool buffers for ``npool`` pages (grow-only)."""
@@ -848,7 +818,8 @@ class KernelState:
         # Slots (re)dispatched during the slice get their object-graph
         # companions rebuilt: the decoded tuple and, under RENO, a
         # RenameResult carrying the commit-relevant fields.
-        trace_ops = pipeline._trace_ops
+        decoded = pipeline._decoded
+        t_index = pipeline.trace.index
         mask = self.wmask
         w_elim = window.elim_info
         rre_p, rre_d = a["RRE_P"], a["RRE_D"]
@@ -857,7 +828,7 @@ class KernelState:
         first = max(self._in_fetch_index, fetch_index - self.wsize)
         for seq in range(first, fetch_index):
             slot = seq & mask
-            window.decoded[slot] = trace_ops[seq]
+            window.decoded[slot] = decoded[t_index[seq]]
             if not self.reno:
                 window.rename[slot] = None
                 continue
@@ -937,7 +908,7 @@ class KernelState:
         lq.entries.clear()
         lq.entries.update(
             seq for seq in range(committed, fetch_index)
-            if trace_ops[seq][0] & DF_LOAD and not w_elim[seq & mask])
+            if decoded[t_index[seq]][0] & DF_LOAD and not w_elim[seq & mask])
 
         # -- renaming --------------------------------------------------
         renamer = pipeline.renamer

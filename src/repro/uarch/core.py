@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from repro.functional.memory import Memory
-from repro.functional.trace import DynamicInstruction
+from repro.functional.trace import Trace
 from repro.isa.instruction import (
     CLASS_LOAD,
     CLASS_STORE,
@@ -145,7 +145,7 @@ class Pipeline:
     def __init__(
         self,
         program: Program,
-        trace: list[DynamicInstruction],
+        trace: Trace,
         config: MachineConfig | None = None,
         renamer: Renamer | None = None,
         collect_timing: bool = False,
@@ -158,7 +158,8 @@ class Pipeline:
 
         Args:
             program: The assembled program (provides initial memory).
-            trace: The dynamic instruction trace from the functional simulator.
+            trace: The dynamic instruction trace (typed columns) from the
+                functional simulator; the pipeline reads it in place.
             config: Machine parameters; defaults to the paper's 4-wide core.
             renamer: The renaming implementation; defaults to the conventional
                 renamer.  Pass a :class:`repro.core.renamer.RenoRenamer` to
@@ -193,11 +194,8 @@ class Pipeline:
         self.timeline_stride = timeline_stride
         self._trace_length = len(trace)
         #: Decoded-op cache: one immutable tuple per static instruction,
-        #: indexed by the trace records' static index (== PC/4 offset).
+        #: indexed by the trace's ``index`` column (== PC/4 offset).
         self._decoded = decode_program(program.instructions)
-        #: The same cache pre-resolved per trace record, so dispatch reaches
-        #: the decoded tuple with one subscript on the fetch index.
-        self._trace_ops = [self._decoded[dyn.index] for dyn in trace]
 
         initial_regs = [0] * NUM_LOGICAL_REGS
         initial_regs[RegisterNames.SP] = STACK_BASE
@@ -398,7 +396,7 @@ class Pipeline:
     #: attribute is accounted for in exactly one of the two tuples.
     _SNAPSHOT_EXEMPT = (
         "config", "program", "trace", "collect_timing", "record_stats",
-        "timeline_stride", "_trace_length", "_decoded", "_trace_ops",
+        "timeline_stride", "_trace_length", "_decoded",
         "_sched_latency", "_commit_width", "_retire_dcache_ports",
         "_rename_width", "_taken_branch_limit", "_fetch_block_bytes",
         "_front_end_depth", "_rob_capacity", "backend", "backend_name",
@@ -420,6 +418,7 @@ class Pipeline:
             state=copy.deepcopy(state),
             config_digest=self.config.digest(),
             trace_length=self._trace_length,
+            trace_digest=self.trace.digest(),
             collect_timing=self.collect_timing,
             cycle=self._cycle,
             committed=self._committed,
@@ -589,8 +588,17 @@ class Pipeline:
         prf_ready = self._prf_ready
         sched_latency = self._sched_latency
         front_end_depth = self._front_end_depth
+        # Trace columns, read by sequence number (the arrays themselves are
+        # shared with every other pipeline built on this trace).
         trace = self.trace
-        trace_ops = self._trace_ops
+        t_index = trace.index
+        t_pc = trace.pc
+        t_res = trace.result
+        t_rhas = trace.result_has
+        t_eff = trace.eff_addr
+        t_taken = trace.taken
+        t_tgt = trace.target_pc
+        decoded = self._decoded
         commit_width = self._commit_width
         retire_dcache_ports = self._retire_dcache_ports
         rename_width = self._rename_width
@@ -737,22 +745,21 @@ class Pipeline:
                             break
                         reexecute_load(committed, op, cycle)
                         dcache_ports -= 1
-                    if op[4] >= 0:
-                        dyn_result = trace[committed].result
-                        if dyn_result is not None:
-                            # Inlined fast paths of _check_value:
-                            # non-eliminated results compare directly,
-                            # eliminated ones against the shared register;
-                            # the method re-derives the value and raises
-                            # with full context on a mismatch.
-                            if elim:
-                                rename = w_rename[slot]
-                                if ((prf_values[rename.dest_preg]
-                                        + rename.dest_disp)
-                                        & MASK64) != dyn_result:
-                                    check_value(committed, slot)
-                            elif w_value[slot] != dyn_result:
+                    if op[4] >= 0 and t_rhas[committed]:
+                        arch_result = t_res[committed]
+                        # Inlined fast paths of _check_value:
+                        # non-eliminated results compare directly,
+                        # eliminated ones against the shared register;
+                        # the method re-derives the value and raises
+                        # with full context on a mismatch.
+                        if elim:
+                            rename = w_rename[slot]
+                            if ((prf_values[rename.dest_preg]
+                                    + rename.dest_disp)
+                                    & MASK64) != arch_result:
                                 check_value(committed, slot)
+                        elif w_value[slot] != arch_result:
+                            check_value(committed, slot)
                     if flags & DF_LOAD and not elim:
                         lq_discard(committed)
                         lq_len -= 1
@@ -1039,12 +1046,11 @@ class Pipeline:
                     flags = op[0]
                     if class_id == CLASS_LOAD:
                         # Inlined load execution.
-                        dyn = trace[seq]
                         address = (value0 + op[5]) & MASK64
-                        if address != dyn.eff_addr:
+                        if address != t_eff[seq]:
                             raise CommitMismatchError(
                                 f"load #{seq} computed address {address:#x}, "
-                                f"architectural address {dyn.eff_addr:#x}"
+                                f"architectural address {t_eff[seq]:#x}"
                             )
                         w_eff[slot] = address
                         mem_bytes = op[3]
@@ -1068,14 +1074,14 @@ class Pipeline:
                             dcache_latency = access.latency
                         value = (sign_extend(raw, 8 * mem_bytes)
                                  if flags & DF_MEM_SIGNED else raw)
-                        if value != dyn.result:
+                        if value != t_res[seq]:
                             # A store the model believed non-conflicting
                             # actually overlapped (should be prevented by the
                             # violation check); fall back to the
                             # architectural value, account it as a replay.
                             stats.memory_order_violations += 1
                             stats.load_replays += 1
-                            value = dyn.result
+                            value = t_res[seq]
                             dcache_latency += violation_penalty
                         if w_replayed[slot]:
                             dcache_latency += violation_penalty
@@ -1103,12 +1109,11 @@ class Pipeline:
                         continue          # loads are never branches
                     if class_id == CLASS_STORE:
                         # Inlined store execution.
-                        dyn = trace[seq]
                         address = (value0 + op[5]) & MASK64
-                        if address != dyn.eff_addr:
+                        if address != t_eff[seq]:
                             raise CommitMismatchError(
                                 f"store #{seq} computed address {address:#x}, "
-                                f"architectural address {dyn.eff_addr:#x}"
+                                f"architectural address {t_eff[seq]:#x}"
                             )
                         value = value1 & op[8]    # data masked to mem_bytes
                         w_eff[slot] = address
@@ -1134,15 +1139,15 @@ class Pipeline:
                             computed_taken = value0 == 0
                         else:
                             computed_taken = branch_taken(opc, value0)
-                        if computed_taken != trace[seq].taken:
+                        if computed_taken != t_taken[seq]:
                             raise CommitMismatchError(
                                 f"branch #{seq} computed direction "
                                 f"{computed_taken}, architectural "
-                                f"direction {trace[seq].taken}"
+                                f"direction {t_taken[seq] == 1}"
                             )
                     elif op[4] >= 0:              # has a destination register
                         if flags & DF_CALL:
-                            value = (trace[seq].pc + 4) & MASK64
+                            value = (t_pc[seq] + 4) & MASK64
                         else:
                             opc = op[6]
                             if opc is op_addi:
@@ -1204,9 +1209,9 @@ class Pipeline:
                     elif not baseline_fast:
                         renamer_begin()
                     while dispatched < rename_width and fetch_index < total:
-                        op = trace_ops[fetch_index]
+                        op = decoded[t_index[fetch_index]]
                         flags = op[0]
-                        dyn = trace[fetch_index]
+                        pc = t_pc[fetch_index]
 
                         # Structural stalls (checked conservatively before
                         # renaming; the room counters mirror the containers'
@@ -1226,9 +1231,9 @@ class Pipeline:
                             break
 
                         # Instruction cache: one access per new block.
-                        block = dyn.pc >> fb_shift
+                        block = pc >> fb_shift
                         if block != last_fetch_block:
-                            access = caches_access(l1i_cache, dyn.pc, cycle, False)
+                            access = caches_access(l1i_cache, pc, cycle, False)
                             last_fetch_block = block
                             if not access.l1_hit:
                                 fetch_resume = cycle + access.latency
@@ -1236,7 +1241,8 @@ class Pipeline:
                                 break
 
                         # Taken-branch fetch limit.
-                        is_taken_control = flags & DF_CONTROL and dyn.taken is True
+                        is_taken_control = (flags & DF_CONTROL
+                                            and t_taken[fetch_index] == 1)
                         if is_taken_control and taken_branches >= taken_branch_limit:
                             break
 
@@ -1305,7 +1311,7 @@ class Pipeline:
                             if dest_logical >= 0:
                                 if flags & rn_elig:
                                     elimination = rn_try_elim(
-                                        dyn, op, sources, dest_logical)
+                                        trace, seq, op, sources, dest_logical)
                                 if elimination is None and not reno_free:
                                     stats.rename_stall_cycles += 1
                                     break
@@ -1387,7 +1393,7 @@ class Pipeline:
                                         break
                                 if rn_it is not None and (flags & df_mem
                                                           or rn_policy_full):
-                                    rn_insert_it(dyn, op, sources, result)
+                                    rn_insert_it(trace, seq, op, sources, result)
                             w_rename[slot] = result
                             if collect_timing:
                                 record_producers(seq, result)
@@ -1398,7 +1404,7 @@ class Pipeline:
                         else:
                             # Pluggable renaming: one interface call per
                             # instruction.
-                            result = rename_next(dyn, op)
+                            result = rename_next(op, trace, seq)
                             if result is None:
                                 stats.rename_stall_cycles += 1
                                 break
@@ -1446,7 +1452,7 @@ class Pipeline:
                             if flags & DF_COND_BRANCH:
                                 branch_unit.conditional_branches += 1
                                 predicted_taken = branch_predict_update(
-                                    dyn.pc, is_taken_control)
+                                    pc, is_taken_control)
                                 if predicted_taken != is_taken_control:
                                     branch_unit.mispredictions += 1
                                     w_mispred[slot] = True
@@ -1455,7 +1461,8 @@ class Pipeline:
                                     stall_reason = STALL_BRANCH
                                     stop_after = True
                                 elif is_taken_control:
-                                    outcome = branch_check_target(dyn)
+                                    outcome = branch_check_target(
+                                        pc, t_tgt[seq])
                                     if outcome.mispredicted:
                                         # Target unknown at fetch but
                                         # computable at decode: a short
@@ -1465,7 +1472,8 @@ class Pipeline:
                                         stall_reason = STALL_FRONTEND
                                         stop_after = True
                             else:
-                                outcome = branch_process(dyn)
+                                outcome = branch_process(
+                                    op[6], pc, is_taken_control, t_tgt[seq])
                                 if outcome.mispredicted:
                                     if outcome.reason == "btb":
                                         fetch_resume = cycle + 2
@@ -1592,7 +1600,7 @@ class Pipeline:
                                     iq_count = issue_queue._count
                             if class_id == CLASS_STORE:
                                 entry = StoreQueueEntry(
-                                    seq, dyn.pc, op[3], dyn.eff_addr)
+                                    seq, pc, op[3], t_eff[seq])
                                 sq_entries.append(entry)
                                 sq_by_seq[seq] = entry
                                 sq_room -= 1
@@ -1812,31 +1820,33 @@ class Pipeline:
 
     def _reexecute_load(self, seq: int, op: tuple, cycle: int) -> None:
         """Re-execute an integration-eliminated load through the retire port."""
-        dyn = self.trace[seq]
+        address = self.trace.eff_addr[seq]
         rename = self._w_rename[seq & self._w_mask]
-        raw = self.memory.read(dyn.eff_addr, op[3])
+        raw = self.memory.read(address, op[3])
         value = sign_extend(raw, 8 * op[3]) if op[0] & DF_MEM_SIGNED else raw
         shared = mask64(self.prf.read(rename.dest_preg) + rename.dest_disp)
         if value != shared:
             self.stats.integration_value_mismatches += 1
         self.stats.reexecuted_loads += 1
-        self.caches.access_data_read(dyn.eff_addr, cycle)
+        self.caches.access_data_read(address, cycle)
 
     def _check_value(self, seq: int, slot: int) -> None:
-        dyn = self.trace[seq]
-        if dyn.instruction.dest_register is None or dyn.result is None:
+        trace = self.trace
+        instruction = self.program.instructions[trace.index[seq]]
+        if instruction.dest_register is None or not trace.result_has[seq]:
             return
+        expected = trace.result[seq]
         rename = self._w_rename[slot]
         if rename is not None and rename.eliminated:
             produced = mask64(self.prf.read(rename.dest_preg) + rename.dest_disp)
         else:
             produced = self._w_value[slot]
-        if produced != dyn.result:
+        if produced != expected:
             eliminated = rename is not None and rename.eliminated
             kind = rename.elim_kind if rename is not None else None
             raise CommitMismatchError(
-                f"instruction #{seq} {dyn.instruction} produced {produced:#x}, "
-                f"architectural result is {dyn.result:#x} "
+                f"instruction #{seq} {instruction} produced {produced:#x}, "
+                f"architectural result is {expected:#x} "
                 f"(eliminated={eliminated}, kind={kind})"
             )
 
@@ -1846,19 +1856,20 @@ class Pipeline:
             # No older store can conflict and the disambiguation walk would
             # find nothing: the load may issue.
             return True
-        dyn = self.trace[seq]
+        trace = self.trace
+        pc = trace.pc[seq]
         # Store-set predicted dependence: wait until every older in-flight
         # store belonging to the load's store set has executed.
         ssit = self.store_sets._ssit
         ss_mask = self.store_sets.entries - 1
-        load_set = ssit[(dyn.pc >> 2) & ss_mask]
+        load_set = ssit[(pc >> 2) & ss_mask]
         if load_set is not None:
             for entry in entries:
                 if (entry.seq < seq and not entry.executed
                         and ssit[(entry.pc >> 2) & ss_mask] == load_set):
                     return False
         check = self.store_queue.check_load(
-            seq, dyn.eff_addr, self._decoded[dyn.index][3])
+            seq, trace.eff_addr[seq], self._decoded[trace.index[seq]][3])
         action = check.action
         if action == "memory" or action == "forward":
             return True
@@ -1871,7 +1882,7 @@ class Pipeline:
                 self.stats.memory_order_violations += 1
                 self.stats.load_replays += 1
                 self._w_replayed[seq & self._w_mask] = True
-                self.store_sets.train_violation(dyn.pc, check.store.pc)
+                self.store_sets.train_violation(pc, check.store.pc)
         return False
 
     def _record_producers(self, seq: int, result) -> None:

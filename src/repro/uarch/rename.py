@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.functional.trace import DynamicInstruction
+from repro.functional.trace import Trace
 from repro.isa.registers import NUM_LOGICAL_REGS
 
 
@@ -86,13 +86,14 @@ class Renamer:
     def begin_group(self) -> None:
         """Start renaming a new same-cycle group."""
 
-    def rename_next(self, dyn: DynamicInstruction, op: tuple | None = None) -> RenameResult | None:
+    def rename_next(self, op: tuple, trace: Trace | None, seq: int) -> RenameResult | None:
         """Rename the next instruction of the current group.
 
         ``op`` is the instruction's decoded-op tuple
-        (:func:`repro.isa.instruction.decode_op`); the pipeline passes it so
-        implementations can skip ``Instruction`` attribute lookups, and
-        implementations must derive it themselves when omitted.
+        (:func:`repro.isa.instruction.decode_op`) and ``seq`` its row in
+        ``trace``; renamers that need architectural
+        values (RENO's integration table) read them from the trace columns,
+        the conventional renamer needs neither and accepts ``None``.
 
         Returns None (with no side effects) when no physical register is
         available for the instruction's destination; the pipeline then stalls
@@ -102,18 +103,6 @@ class Renamer:
 
     def end_group(self) -> None:
         """Finish the current group."""
-
-    def rename_group(self, group: list[DynamicInstruction]) -> list[RenameResult]:
-        """Convenience wrapper: rename a whole group at once (used in tests)."""
-        self.begin_group()
-        results = []
-        for dyn in group:
-            result = self.rename_next(dyn)
-            if result is None:
-                raise RuntimeError("out of physical registers while renaming a group")
-            results.append(result)
-        self.end_group()
-        return results
 
     def commit(self, result: RenameResult) -> None:
         """Release the previous mapping of the committed instruction."""
@@ -145,26 +134,25 @@ class BaselineRenamer(Renamer):
         """Registers left on the free list."""
         return len(self.free_list)
 
-    def rename_next(self, dyn: DynamicInstruction, op: tuple | None = None) -> RenameResult | None:
+    def rename_next(self, op: tuple, trace: Trace | None, seq: int) -> RenameResult | None:
         """Map sources, allocate a fresh destination register (None = stall).
 
         The pipeline normally inlines this logic over the in-flight window
         arrays (see ``Pipeline._run_cycles``); this method serves unit tests
-        and the scheduler-equivalence reference path.  ``op`` is accepted for
-        interface compatibility and unused.
+        and the scheduler-equivalence reference path.  ``trace`` and ``seq``
+        are accepted for interface compatibility and unused.
         """
-        instruction = dyn.instruction
-        dest = instruction.dest_register
-        if dest is not None and not self.free_list:
+        dest = op[4]                              # decoded dest register (-1 = none)
+        if dest >= 0 and not self.free_list:
             return None
         operand_cache = self._operand_cache
         map_table = self.map_table
         sources = [
             operand_cache[map_table[logical]]
-            for logical in instruction._sources   # precomputed source_registers()
+            for logical in op[9]                  # decoded source registers
         ]
         result = RenameResult(sources)
-        if dest is not None:
+        if dest >= 0:
             new_preg = self.free_list.popleft()
             self.allocations += 1
             result.dest_preg = new_preg

@@ -14,7 +14,8 @@ What a snapshot deliberately does **not** carry are the immutable run
 inputs: the program, the dynamic trace, the machine configuration and the
 decoded-op caches.  Restoring therefore requires a pipeline constructed
 from the same (program, trace, config) triple; the snapshot records their
-fingerprints and :meth:`PipelineSnapshot.validate_for` refuses a mismatch.
+fingerprints (the config digest and the trace's column digest) and
+:meth:`PipelineSnapshot.validate_for` refuses a mismatch.
 This keeps checkpoints proportional to the *architected state*, not the
 trace length, which is what lets a long simulation be time-sliced by a
 service and parked on disk between slices.
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 #: Bump whenever the snapshot payload layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+#: Version 2 records the trace digest.
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(Exception):
@@ -50,6 +52,7 @@ class PipelineSnapshot:
         state: Deep-copied attribute dictionary (internal aliasing intact).
         config_digest: :meth:`MachineConfig.digest` of the source pipeline.
         trace_length: Dynamic instruction count of the source trace.
+        trace_digest: :meth:`Trace.digest` of the source trace.
         collect_timing: Whether the source run collected timing records.
         cycle: Simulated cycle count at capture time (informational).
         committed: Instructions retired at capture time (informational).
@@ -63,6 +66,7 @@ class PipelineSnapshot:
     state: dict
     config_digest: str
     trace_length: int
+    trace_digest: str
     collect_timing: bool
     cycle: int
     committed: int
@@ -77,7 +81,8 @@ class PipelineSnapshot:
 
     def validate_for(self, pipeline) -> None:
         """Raise :class:`SnapshotError` unless ``pipeline`` matches this
-        snapshot's run inputs (config digest, trace length, timing mode)."""
+        snapshot's run inputs (config digest, trace length and content,
+        timing and observability modes)."""
         if self.version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"snapshot version {self.version} != supported {SNAPSHOT_VERSION}"
@@ -93,23 +98,25 @@ class PipelineSnapshot:
                 f"snapshot covers a {self.trace_length}-instruction trace, "
                 f"pipeline has {pipeline._trace_length}"
             )
+        digest = pipeline.trace.digest()
+        if self.trace_digest != digest:
+            raise SnapshotError(
+                f"snapshot was taken on trace {self.trace_digest[:12]}…, "
+                f"pipeline has {digest[:12]}…"
+            )
         if self.collect_timing != pipeline.collect_timing:
             raise SnapshotError(
                 f"snapshot collect_timing={self.collect_timing}, "
                 f"pipeline collect_timing={pipeline.collect_timing}"
             )
-        # Observability modes must match too (getattr: snapshots pickled
-        # before these fields existed read as the off defaults).
-        record_stats = getattr(self, "record_stats", False)
-        if record_stats != pipeline.record_stats:
+        if self.record_stats != pipeline.record_stats:
             raise SnapshotError(
-                f"snapshot record_stats={record_stats}, "
+                f"snapshot record_stats={self.record_stats}, "
                 f"pipeline record_stats={pipeline.record_stats}"
             )
-        timeline_stride = getattr(self, "timeline_stride", 0)
-        if timeline_stride != pipeline.timeline_stride:
+        if self.timeline_stride != pipeline.timeline_stride:
             raise SnapshotError(
-                f"snapshot timeline_stride={timeline_stride}, "
+                f"snapshot timeline_stride={self.timeline_stride}, "
                 f"pipeline timeline_stride={pipeline.timeline_stride}"
             )
 

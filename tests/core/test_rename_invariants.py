@@ -25,6 +25,7 @@ from repro.core.refcount import ReferenceCountError
 from repro.core.simulator import simulate
 from repro.functional.simulator import FunctionalSimulator
 from repro.isa.assembler import Assembler
+from repro.isa.instruction import decode_program
 from repro.isa.registers import NUM_LOGICAL_REGS
 from repro.uarch.config import MachineConfig
 
@@ -71,16 +72,20 @@ def random_program(seed: int, length: int = 300) -> Assembler:
 
 
 def trace_for(seed: int):
-    return FunctionalSimulator(random_program(seed).assemble()).run().trace
+    """(decoded op per trace row, trace) of one seeded random program."""
+    run = FunctionalSimulator(random_program(seed).assemble()).run()
+    decoded = decode_program(run.program.instructions)
+    return [decoded[index] for index in run.trace.index], run.trace
 
 
-def rename_with_rob_window(renamer: RenoRenamer, trace, group_size=4, window=16):
+def rename_with_rob_window(renamer: RenoRenamer, run, group_size=4, window=16):
     """Rename the whole trace, committing in order once the window fills."""
+    ops, trace = run
     in_flight = []
     for start in range(0, len(trace), group_size):
         renamer.begin_group()
-        for dyn in trace[start:start + group_size]:
-            result = renamer.rename_next(dyn)
+        for seq in range(start, min(start + group_size, len(trace))):
+            result = renamer.rename_next(ops[seq], trace, seq)
             assert result is not None, "renamer ran out of registers unexpectedly"
             in_flight.append(result)
         renamer.end_group()
@@ -115,16 +120,16 @@ def test_no_leak_or_double_free_and_counts_match_map_table(seed, config_name):
 def test_failed_rename_has_no_side_effects(seed):
     # Big enough to hold the initial mappings, small enough to exhaust.
     renamer = RenoRenamer(NUM_LOGICAL_REGS + 4, RenoConfig.reno_default())
-    trace = trace_for(seed)
+    ops, trace = trace_for(seed)
     failed = None
     renamer.begin_group()
-    for dyn in trace:
+    for seq in range(len(trace)):
         before_free = renamer.free_register_count()
         before_counts = list(renamer.refcounts.counts)
         before_mappings = renamer.map_table.snapshot()
-        result = renamer.rename_next(dyn)
+        result = renamer.rename_next(ops[seq], trace, seq)
         if result is None:
-            failed = dyn
+            failed = seq
             # A stalled rename must leave no trace: same free registers, same
             # counts, same mappings — the pipeline will retry next cycle.
             assert renamer.free_register_count() == before_free

@@ -8,26 +8,34 @@ instructions it collapses and how the extended map table evolves.
 from repro.core import RenoConfig, RenoRenamer
 from repro.functional import FunctionalSimulator
 from repro.isa.assembler import Assembler
+from repro.isa.instruction import decode_program
 from repro.isa.registers import RegisterNames as R
 
 
 def trace_of(asm: Assembler):
-    return FunctionalSimulator(asm.assemble()).run().trace
+    """The functional run (program + trace) of an assembled program."""
+    return FunctionalSimulator(asm.assemble()).run()
 
 
-def rename_trace(renamer: RenoRenamer, trace, group_size: int = 1, commit_lag: int = 16):
-    """Rename a whole trace, committing each instruction ``commit_lag``
-    instructions later (a stand-in for the re-order buffer window)."""
+def rename_trace(renamer: RenoRenamer, run, group_size: int = 1, commit_lag: int = 16,
+                 seqs=None):
+    """Rename a whole trace (or the rows ``seqs``), committing each
+    instruction ``commit_lag`` instructions later (a stand-in for the
+    re-order buffer window).  Returns ``(instruction, result)`` pairs."""
+    trace = run.trace
+    instructions = run.program.instructions
+    decoded = decode_program(instructions)
     results = []
     uncommitted = []
-    pending = list(trace)
+    pending = list(range(len(trace)) if seqs is None else seqs)
     while pending:
         group, pending = pending[:group_size], pending[group_size:]
         renamer.begin_group()
-        for dyn in group:
-            result = renamer.rename_next(dyn)
+        for seq in group:
+            index = trace.index[seq]
+            result = renamer.rename_next(decoded[index], trace, seq)
             assert result is not None
-            results.append((dyn, result))
+            results.append((instructions[index], result))
             uncommitted.append(result)
         renamer.end_group()
         while len(uncommitted) > commit_lag:
@@ -38,8 +46,8 @@ def rename_trace(renamer: RenoRenamer, trace, group_size: int = 1, commit_lag: i
 
 
 def eliminations(results):
-    return [(dyn.instruction.opcode.value, result.elim_kind)
-            for dyn, result in results if result.eliminated]
+    return [(instruction.opcode.value, result.elim_kind)
+            for instruction, result in results if result.eliminated]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +126,7 @@ def test_consumer_of_folded_addition_gets_the_displacement():
     asm.halt()
     renamer = RenoRenamer(64, RenoConfig.reno_cf_me())
     results = rename_trace(renamer, trace_of(asm))
-    load_dyn, load_result = next((d, r) for d, r in results if d.instruction.is_load)
+    load_dyn, load_result = next((d, r) for d, r in results if d.is_load)
     assert not load_result.eliminated
     assert load_result.sources[0].disp == 8      # fused address computation
 
@@ -153,9 +161,9 @@ def test_dependent_eliminations_blocked_within_a_group():
     asm.addi(R.T1, R.T0, 4)
     asm.addi(R.T2, R.T1, 6)       # depends on the addi renamed in the same group
     asm.halt()
-    trace = trace_of(asm)
+    run = trace_of(asm)
     renamer = RenoRenamer(64, RenoConfig.reno_cf_me())
-    results = rename_trace(renamer, trace[1:3], group_size=2)   # both addis together
+    results = rename_trace(renamer, run, group_size=2, seqs=[1, 2])   # both addis together
     assert results[0][1].eliminated
     assert not results[1][1].eliminated
     assert renamer.stats["dependent_elimination_blocks"] == 1
@@ -167,10 +175,10 @@ def test_dependent_eliminations_allowed_when_ablation_enabled():
     asm.addi(R.T1, R.T0, 4)
     asm.addi(R.T2, R.T1, 6)
     asm.halt()
-    trace = trace_of(asm)
+    run = trace_of(asm)
     config = RenoConfig(allow_dependent_eliminations=True, enable_integration=False)
     renamer = RenoRenamer(64, config)
-    results = rename_trace(renamer, trace[1:3], group_size=2)
+    results = rename_trace(renamer, run, group_size=2, seqs=[1, 2])
     assert results[0][1].eliminated and results[1][1].eliminated
 
 
@@ -201,7 +209,7 @@ def test_redundant_load_is_eliminated_as_cse():
     asm.halt()
     renamer = RenoRenamer(64, RenoConfig.reno_default())
     results = rename_trace(renamer, trace_of(asm))
-    loads = [(d, r) for d, r in results if d.instruction.is_load]
+    loads = [(d, r) for d, r in results if d.is_load]
     assert not loads[0][1].eliminated
     assert loads[1][1].eliminated
     assert loads[1][1].elim_kind == "cse"
@@ -219,7 +227,7 @@ def test_store_load_pair_is_bypassed_as_ra():
     asm.halt()
     renamer = RenoRenamer(64, RenoConfig.reno_default())
     results = rename_trace(renamer, trace_of(asm))
-    load_result = next(r for d, r in results if d.instruction.is_load)
+    load_result = next(r for d, r in results if d.is_load)
     assert load_result.eliminated
     assert load_result.elim_kind == "ra"
 
@@ -235,7 +243,7 @@ def test_intervening_store_to_same_address_blocks_integration():
     asm.halt()
     renamer = RenoRenamer(64, RenoConfig.reno_default())
     results = rename_trace(renamer, trace_of(asm))
-    loads = [r for d, r in results if d.instruction.is_load]
+    loads = [r for d, r in results if d.is_load]
     # The second load may be bypassed from the intervening *store* (correct),
     # but must not be integrated with the stale first load.
     if loads[1].eliminated:
@@ -252,7 +260,7 @@ def test_overwritten_base_register_blocks_integration():
     asm.halt()
     renamer = RenoRenamer(64, RenoConfig.integration_only_loads())
     results = rename_trace(renamer, trace_of(asm))
-    loads = [r for d, r in results if d.instruction.is_load]
+    loads = [r for d, r in results if d.is_load]
     assert not loads[1].eliminated
 
 
@@ -265,7 +273,7 @@ def test_loads_only_policy_does_not_touch_alu_ops():
     asm.halt()
     renamer = RenoRenamer(64, RenoConfig.integration_only_loads())
     results = rename_trace(renamer, trace_of(asm))
-    adds = [r for d, r in results if d.instruction.opcode.value == "add"]
+    adds = [r for d, r in results if d.opcode.value == "add"]
     assert not any(r.eliminated for r in adds)
     assert renamer.stats["it_lookups"] == 0
 
@@ -279,7 +287,7 @@ def test_full_policy_eliminates_redundant_alu_ops():
     asm.halt()
     renamer = RenoRenamer(64, RenoConfig.integration_only_full())
     results = rename_trace(renamer, trace_of(asm))
-    adds = [r for d, r in results if d.instruction.opcode.value == "add"]
+    adds = [r for d, r in results if d.opcode.value == "add"]
     assert not adds[0].eliminated
     assert adds[1].eliminated and adds[1].elim_kind == "cse"
     assert not adds[1].needs_reexecution

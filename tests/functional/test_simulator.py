@@ -3,7 +3,7 @@
 import pytest
 
 from repro.functional.simulator import ExecutionLimitExceeded, FunctionalSimulator
-from repro.functional.trace import mix_statistics
+from repro.functional.trace import COLUMNS, mix_statistics
 from repro.isa.assembler import Assembler
 from repro.isa.program import STACK_BASE
 from repro.isa.registers import RegisterNames as R
@@ -141,13 +141,19 @@ def test_trace_records_values_and_addresses():
     asm.ld(R.T1, 0, R.A0)
     asm.halt()
     result = run(asm)
-    store = next(d for d in result.trace if d.instruction.is_store)
-    load = next(d for d in result.trace if d.instruction.is_load)
-    assert store.eff_addr == load.eff_addr
-    assert store.store_value == 99
-    assert load.result == 99
-    # sequence numbers are dense and ordered
-    assert [d.seq for d in result.trace] == list(range(len(result.trace)))
+    trace = result.trace
+    instructions = result.program.instructions
+    store = next(seq for seq, index in enumerate(trace.index)
+                 if instructions[index].is_store)
+    load = next(seq for seq, index in enumerate(trace.index)
+                if instructions[index].is_load)
+    assert trace.eff_addr[store] == trace.eff_addr[load]
+    assert trace.store_value[store] == 99 and trace.store_value_has[store]
+    assert trace.result[load] == 99 and trace.result_has[load]
+    # sequence numbers are dense and ordered: every column has one row per
+    # retired instruction, in retirement order
+    for name, _ in COLUMNS:
+        assert len(getattr(trace, name)) == len(trace) == result.dynamic_count
 
 
 def test_trace_next_pc_chains():
@@ -157,9 +163,10 @@ def test_trace_next_pc_chains():
     asm.subi(R.T0, R.T0, 1)
     asm.bgt(R.T0, "loop")
     asm.halt()
-    result = run(asm)
-    for earlier, later in zip(result.trace, result.trace[1:]):
-        assert earlier.next_pc == later.pc
+    trace = run(asm).trace
+    for seq in range(len(trace) - 1):
+        next_pc = trace.target_pc[seq] if trace.taken[seq] == 1 else trace.pc[seq] + 4
+        assert next_pc == trace.pc[seq + 1]
 
 
 def test_branch_outcomes_recorded():
@@ -170,9 +177,12 @@ def test_branch_outcomes_recorded():
     asm.bgt(R.T0, "loop")
     asm.halt()
     result = run(asm)
-    branches = [d for d in result.trace if d.instruction.is_cond_branch]
-    assert [d.taken for d in branches] == [True, False]
-    assert branches[0].target_pc == branches[0].next_pc
+    trace = result.trace
+    branches = [seq for seq, index in enumerate(trace.index)
+                if result.program.instructions[index].is_cond_branch]
+    assert [trace.taken[seq] for seq in branches] == [1, 0]
+    assert all(trace.target_has[seq] for seq in branches)
+    assert trace.target_pc[branches[0]] == trace.pc[branches[0] + 1]
 
 
 def test_infinite_loop_hits_budget():
@@ -206,7 +216,7 @@ def test_mix_statistics_classification():
     asm.label("end")
     asm.halt()
     result = run(asm)
-    mix = mix_statistics(result.trace)
+    mix = mix_statistics(result.trace, result.program)
     assert mix.total == result.dynamic_count
     assert mix.moves == 1
     assert mix.loads == 1

@@ -50,6 +50,9 @@ from repro.isa.instruction import (
     decode_program,
 )
 from repro.isa.opcodes import OPCODE_SPECS, OpClass, Opcode
+from repro.isa.program import DATA_BASE, STACK_BASE
+from repro.isa.registers import NUM_LOGICAL_REGS
+from repro.isa.registers import RegisterNames as R
 from repro.isa.semantics import MASK64, alu_eval, branch_taken, mask64
 from tests.uarch.test_scheduler_equivalence import random_program
 
@@ -134,34 +137,48 @@ def test_decoded_tuples_round_trip_architectural_behaviour(seed):
 
     For every dynamic instruction, the result / effective address / store
     value / branch direction is recomputed using **only** the decoded tuple
-    and the traced operand values, and compared against what the functional
-    simulator produced by executing the ``Instruction`` objects directly.
+    and the operand values of a register file replayed from the trace's own
+    results, and compared against what the functional simulator produced by
+    executing the ``Instruction`` objects directly.  The replayed ``rs1``
+    value must also equal the traced one.
     """
     program = random_program(seed).assemble()
     run = FunctionalSimulator(program).run()
+    trace = run.trace
     decoded = decode_program(program.instructions)
+    regs = [0] * NUM_LOGICAL_REGS
+    regs[R.SP] = STACK_BASE
+    regs[R.GP] = DATA_BASE
     checked = 0
 
-    for dyn in run.trace:
-        op = decoded[dyn.index]
+    for seq, index in enumerate(trace.index):
+        op = decoded[index]
         flags = op[D_FLAGS]
+        operands = [regs[logical] for logical in op[D_SOURCES]] + [0, 0]
+        rs1_value, rs2_value = operands[0], operands[1]
+        result = trace.result[seq] if trace.result_has[seq] else None
+        if op[D_DEST] >= 0 and result is not None:
+            regs[op[D_DEST]] = result      # replay the architectural write
+        if op[D_SOURCES]:
+            assert rs1_value == trace.rs1_value[seq]
         if flags & DF_NO_EXECUTE:
             continue
         if flags & DF_COND_BRANCH:
-            assert branch_taken(op[D_OPCODE], dyn.rs1_value) == dyn.taken
+            assert branch_taken(op[D_OPCODE], rs1_value) == trace.taken[seq]
         elif flags & DF_LOAD:
-            assert mask64(dyn.rs1_value + op[D_IMM]) == dyn.eff_addr
+            assert mask64(rs1_value + op[D_IMM]) == trace.eff_addr[seq]
         elif flags & DF_STORE:
-            assert mask64(dyn.rs1_value + op[D_IMM]) == dyn.eff_addr
-            assert dyn.store_value & op[D_MEM_MASK] == \
-                dyn.store_value & ((1 << (8 * op[D_MEM_BYTES])) - 1)
+            assert mask64(rs1_value + op[D_IMM]) == trace.eff_addr[seq]
+            assert trace.store_value_has[seq]
+            assert trace.store_value[seq] == rs2_value
+            assert rs2_value & op[D_MEM_MASK] == \
+                rs2_value & ((1 << (8 * op[D_MEM_BYTES])) - 1)
         elif flags & DF_CALL:
-            assert dyn.result == (dyn.pc + 4) & MASK64
+            assert result == (trace.pc[seq] + 4) & MASK64
         elif op[D_CLASS] == CLASS_INT and not (flags & DF_CONTROL) \
-                and dyn.result is not None:
-            value = alu_eval(op[D_OPCODE], dyn.rs1_value, dyn.rs2_value,
-                             op[D_IMM])
-            assert value == dyn.result
+                and result is not None:
+            value = alu_eval(op[D_OPCODE], rs1_value, rs2_value, op[D_IMM])
+            assert value == result
         else:
             continue
         checked += 1
@@ -174,7 +191,6 @@ def test_pipeline_on_decoded_ops_matches_functional_state(seed):
     """The SoA pipeline (driven entirely by decoded tuples) must finish with
     the same architectural register state the functional simulator computed
     by executing ``Instruction`` objects."""
-    from repro.isa.registers import NUM_LOGICAL_REGS
     from repro.uarch.config import MachineConfig
     from repro.uarch.core import Pipeline
 

@@ -27,8 +27,14 @@ from test_scheduler_equivalence import random_program
 
 from repro.core import RenoConfig, RenoRenamer
 from repro.functional.simulator import FunctionalSimulator
+from repro.isa.assembler import Assembler
+from repro.isa.program import DATA_BASE
+from repro.isa.registers import RegisterNames as R
+from repro.isa.semantics import mask64
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
 from repro.uarch.compiled import build
+from repro.uarch.compiled.emit import POINTERS, PT
+from repro.uarch.compiled.marshal import _TRACE_COLUMNS
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 
@@ -93,6 +99,58 @@ def test_compiled_matches_python(seed, config_name):
     compiled = compiled_pipeline.run()
     python = make_pipeline(program, trace, reno, "python").run()
     assert_results_identical(compiled, python)
+
+
+@needs_compiled
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+def test_page_straddling_store_matches_python(config_name):
+    """An 8-byte ``st`` at ``buf + 4092`` writes two 4 KiB pages: the trace
+    lists both, and the kernel (whose page pool is sized from that list)
+    agrees with python on cycles and final registers."""
+    asm = Assembler("straddle")
+    asm.zeros("buf", 513)                 # 4104 bytes from DATA_BASE
+    asm.la(R.A0, "buf")
+    asm.li(R.T0, -0x12345678)             # non-zero bytes on both pages
+    asm.st(R.T0, 4092, R.A0)
+    asm.ld(R.T1, 4092, R.A0)
+    asm.ldbu(R.T2, 4096, R.A0)            # first byte of the second page
+    asm.halt()
+    program = asm.assemble()
+    run = FunctionalSimulator(program).run()
+    address = DATA_BASE + 4092
+    assert address == 0x10000FFC
+    assert run.trace.store_pages == frozenset({address >> 12, (address + 7) >> 12})
+    assert len(run.trace.store_pages) == 2
+
+    reno = CONFIGS[config_name]
+    compiled_pipeline = make_pipeline(program, run.trace, reno, "compiled")
+    assert compiled_pipeline.backend_name == "compiled"
+    compiled = compiled_pipeline.run()
+    python = make_pipeline(program, run.trace, reno, "python").run()
+    assert_results_identical(compiled, python)
+    assert compiled.cycles == python.cycles
+    assert compiled.final_registers[R.T1] == mask64(-0x12345678)
+    assert compiled.final_registers[R.T2] == 0xFF
+
+
+@needs_compiled
+def test_kernel_reads_the_trace_columns_in_place():
+    """Every pipeline built on one trace hands the kernel the trace's own
+    arrays as its ``T_*`` buffers: no per-pipeline copy exists."""
+    assert {name for name in POINTERS if name.startswith("T_")} == \
+        {name for name, _ in _TRACE_COLUMNS}
+    program, trace = build_run(SEEDS[0], length=60)
+    backend = get_backend("compiled")
+    renos = (None, RenoConfig.reno_default())
+    pipelines = [make_pipeline(program, trace, reno, "compiled") for reno in renos]
+    for reno, pipeline in zip(renos, pipelines):
+        result = pipeline.run()
+        state = backend._states[pipeline]
+        for name, column in _TRACE_COLUMNS:
+            assert state.arr[name] is getattr(trace, column)
+            assert state.pt[PT[name]] == getattr(trace, column).buffer_info()[0]
+        python = make_pipeline(program, trace, reno, "python").run()
+        assert_results_identical(result, python)
 
 
 @needs_compiled

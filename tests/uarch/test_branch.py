@@ -1,7 +1,5 @@
 """Unit tests for branch prediction structures."""
 
-from repro.functional.trace import DynamicInstruction
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.uarch.branch import (
     BranchTargetBuffer,
@@ -13,20 +11,14 @@ from repro.uarch.branch import (
 from repro.uarch.config import MachineConfig
 
 
-def make_branch(pc, taken, target=0x2000, opcode=Opcode.BNE, seq=0):
-    instr = Instruction(opcode, rs1=1, target=0)
-    return DynamicInstruction(
-        seq=seq, index=0, pc=pc, instruction=instr, taken=taken,
-        next_pc=target if taken else pc + 4, target_pc=target,
-    )
+def make_branch(pc, taken, target=0x2000, opcode=Opcode.BNE):
+    """``BranchUnit.process`` arguments of one conditional branch."""
+    return opcode, pc, taken, target
 
 
-def make_control(opcode, pc, target, seq=0):
-    instr = Instruction(opcode, rd=26, rs1=26, target=0)
-    return DynamicInstruction(
-        seq=seq, index=0, pc=pc, instruction=instr, taken=True,
-        next_pc=target, target_pc=target,
-    )
+def make_control(opcode, pc, target):
+    """``BranchUnit.process`` arguments of one always-taken transfer."""
+    return opcode, pc, True, target
 
 
 def test_saturating_counter_learns():
@@ -87,7 +79,7 @@ def test_branch_unit_counts_mispredictions():
     pc = 0x1000
     outcomes = []
     for index in range(50):
-        outcomes.append(unit.process(make_branch(pc, taken=True, seq=index)))
+        outcomes.append(unit.process(*make_branch(pc, taken=True)))
     # Strongly biased branch: eventually predicted correctly.
     assert not outcomes[-1].mispredicted
     assert unit.conditional_branches == 50
@@ -97,16 +89,13 @@ def test_branch_unit_counts_mispredictions():
 def test_branch_unit_call_return_uses_ras():
     unit = BranchUnit(MachineConfig.default_4wide())
     call = make_control(Opcode.JSR, pc=0x1000, target=0x5000)
-    unit.process(call)
-    ret_instr = Instruction(Opcode.RET, rs1=26)
-    ret = DynamicInstruction(seq=1, index=0, pc=0x5004, instruction=ret_instr,
-                             taken=True, next_pc=0x1004, target_pc=0x1004)
-    outcome = unit.process(ret)
+    unit.process(*call)
+    ret = make_control(Opcode.RET, pc=0x5004, target=0x1004)
+    outcome = unit.process(*ret)
     assert not outcome.mispredicted
     # A return with an empty / wrong RAS mispredicts.
-    bad_ret = DynamicInstruction(seq=2, index=0, pc=0x5004, instruction=ret_instr,
-                                 taken=True, next_pc=0x9999, target_pc=0x9999)
-    assert unit.process(bad_ret).mispredicted
+    bad_ret = make_control(Opcode.RET, pc=0x5004, target=0x9999)
+    assert unit.process(*bad_ret).mispredicted
 
 
 def test_branch_unit_btb_miss_on_first_taken_branch():
@@ -115,7 +104,7 @@ def test_branch_unit_btb_miss_on_first_taken_branch():
     # Teach the direction predictor first so direction is not the issue.
     for index in range(8):
         unit.direction.update(0x1000, True)
-    first = unit.process(branch)
+    first = unit.process(*branch)
     assert first.mispredicted and first.reason == "btb"
-    second = unit.process(make_branch(0x1000, taken=True, seq=1))
+    second = unit.process(*make_branch(0x1000, taken=True))
     assert not second.mispredicted

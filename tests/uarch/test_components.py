@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.functional.trace import DynamicInstruction
 from repro.isa.instruction import (
     CLASS_INT,
     CLASS_LOAD,
@@ -20,9 +19,18 @@ from repro.uarch.scheduler import IssueQueue
 from repro.uarch.storesets import StoreSets
 
 
-def dyn(opcode=Opcode.ADD, seq=0, rd=1, rs1=2, rs2=3, imm=0, pc=0x1000):
-    instr = Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
-    return DynamicInstruction(seq=seq, index=0, pc=pc, instruction=instr)
+def op(opcode=Opcode.ADD, rd=1, rs1=2, rs2=3, imm=0):
+    """Decoded-op tuple of one instruction (what a renamer is handed)."""
+    return decode_op(Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=imm))
+
+
+def rename_group(renamer, ops):
+    """Rename ``ops`` as one same-cycle group (the pipeline's call order)."""
+    renamer.begin_group()
+    results = [renamer.rename_next(op, None, seq) for seq, op in enumerate(ops)]
+    renamer.end_group()
+    assert None not in results, "out of physical registers while renaming a group"
+    return results
 
 
 def class_of(opcode) -> int:
@@ -274,7 +282,7 @@ def test_prf_rejects_too_few_registers():
 def test_baseline_renamer_allocates_and_frees():
     renamer = BaselineRenamer(40)
     assert renamer.free_register_count() == 8
-    result = renamer.rename_group([dyn(Opcode.ADD, rd=1, rs1=2, rs2=3)])[0]
+    result = rename_group(renamer, [op(Opcode.ADD, rd=1, rs1=2, rs2=3)])[0]
     assert result.allocated
     assert result.dest_preg == 32
     assert result.prev_dest_preg == 1
@@ -286,22 +294,22 @@ def test_baseline_renamer_allocates_and_frees():
 def test_baseline_renamer_intra_group_dependence():
     renamer = BaselineRenamer(64)
     group = [
-        dyn(Opcode.ADD, seq=0, rd=1, rs1=2, rs2=3),
-        dyn(Opcode.ADD, seq=1, rd=4, rs1=1, rs2=1),     # reads the new r1
+        op(Opcode.ADD, rd=1, rs1=2, rs2=3),
+        op(Opcode.ADD, rd=4, rs1=1, rs2=1),     # reads the new r1
     ]
-    first, second = renamer.rename_group(group)
+    first, second = rename_group(renamer, group)
     assert second.sources[0].preg == first.dest_preg
     assert second.sources[1].preg == first.dest_preg
 
 
 def test_baseline_renamer_stalls_when_out_of_registers():
     renamer = BaselineRenamer(33)
-    assert renamer.rename_next(dyn(Opcode.ADD, rd=1)) is not None
-    assert renamer.rename_next(dyn(Opcode.ADD, rd=2)) is None
+    assert renamer.rename_next(op(Opcode.ADD, rd=1), None, 0) is not None
+    assert renamer.rename_next(op(Opcode.ADD, rd=2), None, 1) is None
 
 
 def test_baseline_renamer_zero_register_destination_not_renamed():
     renamer = BaselineRenamer(64)
-    result = renamer.rename_next(dyn(Opcode.ADD, rd=31))
+    result = renamer.rename_next(op(Opcode.ADD, rd=31), None, 0)
     assert result.dest_preg is None
     assert not result.allocated

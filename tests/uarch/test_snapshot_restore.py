@@ -19,6 +19,9 @@ from test_scheduler_equivalence import random_program
 
 from repro.core import RenoConfig, RenoRenamer
 from repro.functional.simulator import FunctionalSimulator
+from repro.functional.trace import COLUMNS, Trace
+from repro.isa.assembler import Assembler
+from repro.isa.registers import RegisterNames as R
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 from repro.uarch.snapshot import PipelineSnapshot, SnapshotError
@@ -212,13 +215,51 @@ def test_restore_rejects_mismatched_inputs():
     with pytest.raises(SnapshotError, match="machine config"):
         other_machine.restore(snapshot)
 
-    truncated = Pipeline(program, trace[:-5], MachineConfig.default_4wide())
+    prefix = Trace()
+    for name, _ in COLUMNS:
+        setattr(prefix, name, getattr(trace, name)[:-5])
+    truncated = Pipeline(program, prefix, MachineConfig.default_4wide())
     with pytest.raises(SnapshotError, match="trace"):
         truncated.restore(snapshot)
 
     timing = make_pipeline(program, trace, None, collect_timing=True)
     with pytest.raises(SnapshotError, match="collect_timing"):
         timing.restore(snapshot)
+
+
+def addi_loop_run(step):
+    """``li v0,0`` then 200 iterations of ``addi v0, v0, step`` (603
+    instructions for any step: same length, different results)."""
+    asm = Assembler(f"addi_loop_{step}")
+    asm.li(R.V0, 0)
+    asm.li(R.T0, 200)
+    asm.label("loop")
+    asm.addi(R.V0, R.V0, step)
+    asm.subi(R.T0, R.T0, 1)
+    asm.bgt(R.T0, "loop")
+    asm.halt()
+    program = asm.assemble()
+    return program, FunctionalSimulator(program).run().trace
+
+
+def test_restore_rejects_a_trace_of_equal_length_but_other_content():
+    program_1, trace_1 = addi_loop_run(1)
+    program_3, trace_3 = addi_loop_run(3)
+    assert len(trace_1) == len(trace_3)
+    assert trace_1.digest() != trace_3.digest()
+    source = make_pipeline(program_1, trace_1, None)
+    source.run(max_cycles=250)
+    snapshot = source.snapshot()
+    assert 0 < snapshot.committed < len(trace_1)
+    assert snapshot.trace_digest == trace_1.digest()
+
+    other = make_pipeline(program_3, trace_3, None)
+    with pytest.raises(SnapshotError, match="trace"):
+        other.restore(snapshot)
+    # The same content is accepted, and the digest is kept once computed.
+    same = make_pipeline(program_1, trace_1, None)
+    same.restore(snapshot)
+    assert trace_1.digest() is trace_1.digest()
 
 
 def test_checkpoint_save_load_roundtrip(tmp_path):

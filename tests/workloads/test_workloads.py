@@ -85,7 +85,7 @@ def test_workload_runs_to_completion(name):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_workload_contains_loops(name):
     result = run_workload(name)
-    mix = mix_statistics(result.trace)
+    mix = mix_statistics(result.trace, result.program)
     assert mix.branches > 0, "every kernel should contain loops"
 
 
@@ -95,7 +95,7 @@ def test_workload_contains_loops(name):
 )
 def test_paper_suite_kernels_touch_memory(name):
     result = run_workload(name)
-    mix = mix_statistics(result.trace)
+    mix = mix_statistics(result.trace, result.program)
     assert mix.loads + mix.stores > 0, "every paper kernel should touch memory"
 
 
@@ -106,7 +106,7 @@ def test_paper_suite_kernels_touch_memory(name):
 def test_paper_suite_kernels_contain_foldable_additions(name):
     """RENO_CF needs register-immediate additions in every paper kernel."""
     result = run_workload(name)
-    mix = mix_statistics(result.trace)
+    mix = mix_statistics(result.trace, result.program)
     assert mix.reg_imm_add_fraction > 0.05
 
 
@@ -133,7 +133,7 @@ def _suite_average_mix(suite_name: str):
     workloads = suite_by_name(suite_name)
     for workload in workloads:
         result = FunctionalSimulator(workload.build(1), max_instructions=2_000_000).run()
-        mix = mix_statistics(result.trace)
+        mix = mix_statistics(result.trace, result.program)
         fractions["moves"] += mix.move_fraction
         fractions["addis"] += mix.reg_imm_add_fraction
         fractions["loads"] += mix.load_fraction
@@ -166,11 +166,15 @@ def test_call_heavy_kernels_have_stack_spill_pairs():
     result = run_workload("vortex_like")
     stack_stores = set()
     bypassed_loads = 0
-    for dyn in result.trace:
-        if dyn.eff_addr is None or dyn.eff_addr < STACK_BASE - (1 << 20):
+    trace = result.trace
+    for seq, index in enumerate(trace.index):
+        instruction = result.program.instructions[index]
+        eff_addr = trace.eff_addr[seq]
+        if not (instruction.is_load or instruction.is_store) \
+                or eff_addr < STACK_BASE - (1 << 20):
             continue
-        if dyn.instruction.is_store:
-            stack_stores.add(dyn.eff_addr)
-        elif dyn.instruction.is_load and dyn.eff_addr in stack_stores:
+        if instruction.is_store:
+            stack_stores.add(eff_addr)
+        elif instruction.is_load and eff_addr in stack_stores:
             bypassed_loads += 1
     assert bypassed_loads > 10
