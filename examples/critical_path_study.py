@@ -1,6 +1,7 @@
 """Critical-path study: where does RENO's improvement come from? (Figure 9)
 
-Runs a few kernels with per-instruction timing records, builds the
+Runs a few kernels with per-instruction timing columns (``collect_timing``;
+either cycle-loop backend fills them), builds the
 Fields-style critical-path breakdown for the baseline, CF+ME and full RENO,
 and prints how ALU criticality melts into fetch criticality once RENO
 collapses the ALU operations — the effect §4.3 of the paper describes.

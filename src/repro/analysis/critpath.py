@@ -1,9 +1,11 @@
 """Critical-path analysis (a simplified Fields-style model, §4.3 / Figure 9).
 
-The timing pipeline can record one :class:`~repro.uarch.inflight.TimingRecord`
-per retired instruction.  This module walks the dependence structure backwards
-from the last retired instruction, at each step following the constraint that
-actually determined the instruction's completion time:
+A pipeline run with ``collect_timing`` fills one
+:class:`~repro.uarch.inflight.TimingColumns` entry per instruction.  This
+module derives each instruction's data producers from the registers it
+read and allocated (:func:`source_producers`), then walks the dependence structure
+backwards from the last retired instruction, at each step following the
+constraint that actually determined the instruction's completion time:
 
 * a *data* edge to the producer whose result arrived last, or
 * a *fetch/dispatch* edge to the previous instruction in program order when
@@ -17,9 +19,10 @@ buckets: ``fetch``, ``alu_exec``, ``load_exec`` (cache-hit dataflow),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
-from repro.uarch.inflight import TimingRecord
+from repro.uarch.inflight import TIMING_ELIMINATED, TIMING_LOAD, TimingColumns
 
 #: Loads whose cache latency exceeds this are charged to the memory bucket.
 _MEMORY_LATENCY_THRESHOLD = 10
@@ -35,7 +38,6 @@ class CriticalPathBreakdown:
     load_mem: int = 0
     commit: int = 0
     path_length: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -53,64 +55,91 @@ class CriticalPathBreakdown:
         }
 
 
-def _bucket_for(record: TimingRecord, via_data_edge: bool) -> str:
-    if not via_data_edge:
-        return "fetch"
-    if record.is_load:
-        if record.eliminated:
-            return "alu_exec"
-        if record.dcache_latency > _MEMORY_LATENCY_THRESHOLD:
-            return "load_mem"
-        return "load_exec"
-    return "alu_exec"
+def _writer_lookup(timing: TimingColumns):
+    """``writer(preg, seq)``: the last instruction before ``seq`` that
+    allocated ``preg``, or -1 when none did (an initial register value).
+
+    Built from two C-level sorts of the allocation column (allocations
+    grouped by register, in program order within one), so a lookup is
+    three bisections and no per-instruction Python loop runs up front.
+    """
+    alloc = timing.alloc_preg[:len(timing)]
+    order = sorted(range(len(alloc)), key=alloc.__getitem__)   # stable
+    keys = sorted(alloc)
+
+    def writer(preg: int, seq: int) -> int:
+        low = bisect_left(keys, preg)
+        index = bisect_left(order, seq, low, bisect_right(keys, preg, low)) - 1
+        return order[index] if index >= low else -1
+
+    return writer
 
 
-def analyze_critical_path(records: list[TimingRecord]) -> CriticalPathBreakdown:
+def source_producers(timing: TimingColumns) -> list[tuple[int, ...]]:
+    """Each retired instruction's producers, by sequence number: the last
+    writers before it of its source registers and, when it was eliminated,
+    of the register it shares — in that order (src0, src1, shared),
+    skipping absent operands.  -1 marks a register no earlier instruction
+    allocated (an initial value)."""
+    writer = _writer_lookup(timing)
+    columns = (timing.src0_preg, timing.src1_preg, timing.shared_preg)
+    return [tuple(writer(column[seq], seq) for column in columns if column[seq] >= 0)
+            for seq in range(len(timing))]
+
+
+def _bucket_for(flags: int, dcache_latency: int) -> str:
+    """The bucket a data edge into an instruction is charged to."""
+    if not flags & TIMING_LOAD or flags & TIMING_ELIMINATED:
+        return "alu_exec"
+    if dcache_latency > _MEMORY_LATENCY_THRESHOLD:
+        return "load_mem"
+    return "load_exec"
+
+
+def analyze_critical_path(timing: TimingColumns | None) -> CriticalPathBreakdown:
     """Compute the critical-path bucket breakdown for one simulation.
 
     Args:
-        records: Timing records from a pipeline run with ``collect_timing``.
+        timing: Timing columns from a pipeline run with ``collect_timing``
+            (None or empty gives an empty breakdown).
 
     Returns:
         A :class:`CriticalPathBreakdown`.
     """
-    if not records:
-        return CriticalPathBreakdown()
-    by_seq = {record.seq: record for record in records}
-    ordered = sorted(records, key=lambda record: record.seq)
     breakdown = CriticalPathBreakdown()
+    if not timing:
+        return breakdown
+    writer = _writer_lookup(timing)
+    sources = (timing.src0_preg, timing.src1_preg, timing.shared_preg)
+    complete, dispatch = timing.complete, timing.dispatch
 
-    last = ordered[-1]
+    current = len(timing) - 1
     # Commit bucket: the tail between the last completion and retirement.
-    breakdown.commit += max(0, last.retire_cycle - last.complete_cycle)
-
-    current = last
-    steps = 0
-    while steps < len(records) + 8:
-        steps += 1
-        producers = [
-            by_seq[producer]
-            for producer in current.source_producers
-            if producer >= 0 and producer in by_seq
-        ]
-        data_pred = max(producers, key=lambda record: record.complete_cycle, default=None)
-        data_bound = (
-            data_pred is not None
-            and data_pred.complete_cycle >= current.dispatch_cycle
-        )
-        if data_bound:
+    breakdown.commit = max(0, timing.retire[current] - complete[current])
+    # Every step moves to a strictly older instruction (producers precede
+    # their consumers), so the walk ends at the first instruction.
+    while True:
+        breakdown.path_length += 1
+        # The producer (see source_producers) whose result arrived last.
+        data_pred = -1
+        for column in sources:
+            if column[current] >= 0:
+                producer = writer(column[current], current)
+                if producer >= 0 and (data_pred < 0
+                                      or complete[producer] > complete[data_pred]):
+                    data_pred = producer
+        if data_pred >= 0 and complete[data_pred] >= dispatch[current]:
+            bucket = _bucket_for(timing.flags[current], timing.dcache_latency[current])
             predecessor = data_pred
+        elif current:
+            # Ready before it could dispatch: a fetch edge to the previous
+            # instruction in program order.
+            bucket, predecessor = "fetch", current - 1
         else:
-            predecessor = by_seq.get(current.seq - 1)
-        if predecessor is None or predecessor.seq >= current.seq:
             # Reached the beginning of the window; charge the remaining depth
             # to fetch and stop.
-            breakdown.fetch += max(0, current.complete_cycle)
-            breakdown.path_length += 1
-            break
-        edge_cost = max(0, current.complete_cycle - predecessor.complete_cycle)
-        bucket = _bucket_for(current, via_data_edge=data_bound)
+            breakdown.fetch += max(0, complete[current])
+            return breakdown
+        edge_cost = max(0, complete[current] - complete[predecessor])
         setattr(breakdown, bucket, getattr(breakdown, bucket) + edge_cost)
-        breakdown.path_length += 1
         current = predecessor
-    return breakdown

@@ -122,7 +122,7 @@ def simulate(
         reno: RENO configuration, or None for the conventional baseline.
         trace: Optionally reuse an existing functional run (saves time when
             comparing several configurations on the same workload).
-        collect_timing: Collect per-instruction timing records for
+        collect_timing: Collect per-instruction timing columns for
             critical-path analysis.
         record_stats: Record per-structure occupancy histograms and issue
             utilization (``outcome.stats.occupancy``); see

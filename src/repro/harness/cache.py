@@ -12,7 +12,7 @@ runs.  The cache key is a SHA-256 over
 * :meth:`MachineConfig.digest` and :meth:`RenoConfig.digest` (behavioural
   fields only; report labels are excluded);
 * the functional-simulation instruction budget and whether per-instruction
-  timing records were collected;
+  timing columns were collected;
 * a cache format version (bumped whenever the stored payload shape changes).
 
 Storage itself lives in :mod:`repro.store`: this module computes the keys

@@ -667,7 +667,7 @@ def execute_grid(
         machines: Machine-label → configuration.
         renos: RENO-label → configuration (None = baseline).
         scale: Workload scale factor.
-        collect_timing: Keep per-instruction timing records.
+        collect_timing: Fill per-instruction timing columns.
         record_stats: Record occupancy/utilization histograms per cell
             (``outcome.stats.occupancy``; see :mod:`repro.uarch.observe`).
         max_instructions: Functional-simulation budget.

@@ -267,7 +267,7 @@ def _reduce_fig9(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
     for name in matrix.workloads:
         for reno_label in matrix.reno_labels:
             outcome = matrix.get(name, "4wide", reno_label)
-            breakdown = analyze_critical_path(outcome.timing.timing_records or [])
+            breakdown = analyze_critical_path(outcome.timing.timing_records)
             fractions = breakdown.fractions()
             data[(name, reno_label)] = fractions
             rows.append([
@@ -289,7 +289,7 @@ def _reduce_fig9(matrix: MatrixResult, spec: SweepSpec) -> ExperimentReport:
             description="critical-path breakdown: baseline vs CF+ME vs full RENO",
             reducer=_reduce_fig9)
 def _fig9_spec(suite: str, workloads: list[str] | None, scale: int) -> SweepSpec:
-    """Grid: 4wide × {BASE, CF+ME, RENO}, with timing records collected."""
+    """Grid: 4wide × {BASE, CF+ME, RENO}, with timing columns collected."""
     return SweepSpec.from_grid(
         suite, workloads,
         machines={"4wide": MachineConfig.default_4wide()},

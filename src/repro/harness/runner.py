@@ -153,7 +153,7 @@ def run_matrix(
         renos: RENO-label → configuration (None = conventional baseline);
             same forms as ``machines``.
         scale: Workload scale factor.
-        collect_timing: Keep per-instruction timing records (Figure 9).
+        collect_timing: Fill per-instruction timing columns (Figure 9).
         record_stats: Record per-structure occupancy histograms and issue
             utilization per cell (``outcome.stats.occupancy``; see
             :mod:`repro.uarch.observe`).

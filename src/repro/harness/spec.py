@@ -54,7 +54,7 @@ class SweepSpec:
         machines: (label, machine config) pairs, in report column order.
         renos: (label, RENO config or None) pairs, in series order.
         scale: Workload scale factor (≥ 1).
-        collect_timing: Keep per-instruction timing records.
+        collect_timing: Fill per-instruction timing columns.
         record_stats: Record occupancy/utilization histograms per cell.
         max_instructions: Functional-simulation budget per workload.
     """

@@ -50,7 +50,9 @@ from repro.core.simulator import SimulationOutcome
 #: v3: ``SimStats`` gained ``occupancy`` and ``SimResult`` gained
 #:     ``timeline`` (observability); the key material gained the
 #:     ``record_stats`` mode.
-CACHE_FORMAT_VERSION = 3
+#: v4: ``SimResult.timing_records`` holds ``TimingColumns`` instead of a
+#:     list of per-instruction records.
+CACHE_FORMAT_VERSION = 4
 
 #: Environment variable naming the default result store as a locator
 #: (path, ``sqlite://...`` or ``http(s)://...``); takes precedence over

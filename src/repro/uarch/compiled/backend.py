@@ -8,7 +8,9 @@ nonzero kernel return, which covers both real simulation errors like a
 commit mismatch and internal give-ups like a wakeup-ring collision)
 delegates the *same* slice to the python reference loop, so the observable
 behaviour — results, statistics, exceptions — is always exactly the
-reference's.
+reference's — even though the kernel writes a timing pipeline's
+columns in place, because the replay rewrites each entry it touched with
+the same value (see :mod:`repro.uarch.compiled.emit`).
 """
 
 from __future__ import annotations
@@ -41,16 +43,18 @@ class CompiledBackend(CycleLoopBackend):
         """Whether this pipeline's feature set is covered by the kernel.
 
         The kernel lowers the production configuration space: the stock
-        issue queue, the stock renamers, and the always-on observability.
-        Timing-record collection and timeline sampling interpose Python
-        callbacks mid-cycle, and subclassed components can override
-        arbitrary behaviour — those pipelines run on the reference loop.
+        issue queue, the stock renamers, occupancy histograms and timing
+        columns.  Subclassed components can override arbitrary behaviour,
+        so those pipelines run on the reference loop.  So do timeline
+        pipelines (``timeline_stride > 0``): only tests sample timelines —
+        no experiment, script or benchmark does — so lowering the recorder
+        would add kernel code that no workload runs.
         """
         from repro.core.renamer import RenoRenamer
         from repro.uarch.rename import BaselineRenamer
         from repro.uarch.scheduler import IssueQueue
 
-        if pipeline.collect_timing or pipeline.timeline_stride > 0:
+        if pipeline.timeline_stride > 0:
             return False
         if type(pipeline.issue_queue) is not IssueQueue:
             return False
@@ -71,9 +75,10 @@ class CompiledBackend(CycleLoopBackend):
         """Run one slice in the kernel, or delegate it to the reference.
 
         Every fallback path re-runs the *identical* slice on
-        ``pipeline._run_cycles`` — marshal-in never mutates the pipeline
-        and the kernel only ever writes the flat buffers, so a failed
-        attempt leaves no trace.
+        ``pipeline._run_cycles`` — marshal-in never mutates the pipeline,
+        and the kernel writes only the flat buffers and the timing
+        columns, which the replay rewrites with the same values, so a
+        failed attempt leaves no trace.
         """
         kernel = build.load_kernel()
         if kernel is None or not self.supports(pipeline):

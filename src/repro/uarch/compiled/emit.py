@@ -17,11 +17,15 @@ This module is the single source of truth for the compiled kernel's ABI:
   hand-written kernel, a cycle-exact port of
   :meth:`repro.uarch.core.Pipeline._run_cycles`.
 
-The kernel never mutates Python state and never allocates: every buffer
-is provided by :mod:`repro.uarch.compiled.marshal`.  On any error it
-returns a nonzero code *without* side effects visible to Python, so the
-backend can replay the slice through the reference loop to reproduce the
-exact Python behaviour (including exception messages).
+The kernel never allocates: every buffer is provided by
+:mod:`repro.uarch.compiled.marshal`.  On any error it returns a nonzero
+code and the backend replays the slice through the reference loop to
+reproduce the exact Python behaviour (including exception messages).
+The only Python state the kernel writes is a timing pipeline's
+:class:`~repro.uarch.inflight.TimingColumns` (``TM_*``), and replay stays
+exact: the columns are write-only during a run and each entry is
+last-write-wins for its ``seq``, so the replay rewrites every entry the
+kernel touched with the same value.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import zlib
 
 from repro.isa.opcodes import Opcode, OpClass, spec_for
+from repro.uarch.inflight import TIMING_ELIMINATED, TIMING_LOAD, TimingColumns
 
 #: Stable opcode numbering used by the kernel (position in declaration order).
 OPCODES: tuple[Opcode, ...] = tuple(Opcode)
@@ -42,9 +47,8 @@ VALUE_TO_ID: dict[str, int] = {op.value: i for op, i in OP_ID.items()}
 #: The InFlightWindow structure-of-arrays fields, in ``__init__`` order.
 #: The backend-parity linter checks this against the class source.
 WINDOW_FIELDS: tuple[str, ...] = (
-    "capacity", "size", "mask", "dispatch_cycle", "issue_cycle",
-    "complete_cycle", "retire_cycle", "latency", "value", "eff_addr",
-    "dcache_latency", "replayed", "mispredicted", "class_id", "waiting_ops",
+    "capacity", "size", "mask", "dispatch_cycle", "complete_cycle", "value",
+    "eff_addr", "replayed", "class_id", "waiting_ops",
     "rename", "decoded", "dest_preg", "prev_dest", "elim_info",
     "fusion_extra", "nsrc", "src0_preg", "src0_disp", "src1_preg",
     "src1_disp",
@@ -52,17 +56,13 @@ WINDOW_FIELDS: tuple[str, ...] = (
 
 #: Window fields the compiled backend intentionally does not marshal:
 #: * ``capacity``/``size``/``mask`` are scalars fixed at construction;
-#: * ``issue_cycle``/``retire_cycle`` are written only under
-#:   ``collect_timing``, which the compiled backend does not support
-#:   (such pipelines run on the python reference);
 #: * ``rename`` holds RenameResult objects, rebuilt field-by-field from
 #:   the flattened arrays at marshal-out;
 #: * ``decoded`` holds decoded-op tuples, re-pointed from the pipeline's
 #:   static ``_decoded`` table (via the trace's ``index`` column) at
 #:   marshal-out.
 WINDOW_EXEMPT: frozenset[str] = frozenset({
-    "capacity", "size", "mask", "issue_cycle", "retire_cycle",
-    "rename", "decoded",
+    "capacity", "size", "mask", "rename", "decoded",
 })
 
 #: Kernel error codes (return value of ``repro_run``).  Any nonzero code
@@ -83,7 +83,7 @@ SCALARS: tuple[str, ...] = (
     # -- geometry / static configuration ------------------------------
     "TOTAL", "WSIZE", "WMASK", "NUM_PREGS", "COMMIT_WIDTH", "RENAME_WIDTH",
     "RETIRE_PORTS", "TAKEN_LIMIT", "SCHED_LAT", "FE_DEPTH", "VIO_PENALTY",
-    "MAX_CYCLES", "STOP", "MODE", "RECORD_STATS", "FB_SHIFT",
+    "MAX_CYCLES", "STOP", "MODE", "RECORD_STATS", "TIMING", "FB_SHIFT",
     "TOTAL_ISSUE", "W_INT", "W_LOAD", "W_STORE", "W_FP",
     "IQ_CAP", "SQ_CAP", "LQ_CAP", "RSTRIDE",
     "L1I_SETS", "L1I_ASSOC", "L1I_LAT", "L1I_BSHIFT",
@@ -125,8 +125,8 @@ SC: dict[str, int] = {name: i for i, name in enumerate(SCALARS)}
 #: that are semantically unsigned 64-bit are stored two's-complement).
 POINTERS: tuple[str, ...] = (
     # -- in-flight window (structure-of-arrays) -----------------------
-    "W_DISPATCH", "W_COMPLETE", "W_LATENCY", "W_VALUE", "W_EFF",
-    "W_DCACHE", "W_REPLAYED", "W_MISPRED", "W_CLASS", "W_WAITING",
+    "W_DISPATCH", "W_COMPLETE", "W_VALUE", "W_EFF",
+    "W_REPLAYED", "W_CLASS", "W_WAITING",
     "W_DEST", "W_PREV", "W_ELIM", "W_FEXTRA", "W_NSRC",
     "W_S0P", "W_S0D", "W_S1P", "W_S1D",
     # Eliminated-slot shared destination mapping (RenameResult.dest_preg
@@ -167,6 +167,9 @@ POINTERS: tuple[str, ...] = (
     # -- occupancy histograms (1-element dummies when record_stats off)
     "OC_ROB", "OC_IQ", "OC_PRF", "OC_SQ", "OC_LQ", "OC_READY",
     "OC_ISSUED", "OC_CLASS", "OC_STALL",
+    # -- timing columns (the pipeline's own TimingColumns arrays when it
+    # collects timing, 1-element dummies otherwise; TM_FLAGS is bytes)
+    *(f"TM_{column.upper()}" for column in TimingColumns.COLUMNS),
 )
 
 PT: dict[str, int] = {name: i for i, name in enumerate(POINTERS)}
@@ -230,6 +233,7 @@ def _prelude() -> str:
         "DF_REG_IMM_ADD": DF_REG_IMM_ADD, "DF_IT_ALU": DF_IT_ALU,
         "CLASS_INT": CLASS_INT, "CLASS_LOAD": CLASS_LOAD,
         "CLASS_STORE": CLASS_STORE, "CLASS_FP": CLASS_FP,
+        "TIMING_LOAD": TIMING_LOAD, "TIMING_ELIMINATED": TIMING_ELIMINATED,
         "ERR_OK": ERR_OK,
         "ERR_MAX_CYCLES": ERR_MAX_CYCLES, "ERR_LOAD_ADDR": ERR_LOAD_ADDR,
         "ERR_STORE_ADDR": ERR_STORE_ADDR, "ERR_BRANCH_DIR": ERR_BRANCH_DIR,
@@ -1116,8 +1120,9 @@ static i64 sq_find(Ctx *c, i64 seq) {
 /* ---------------- the cycle loop ---------------- */
 
 /* Cycle-exact port of Pipeline._run_cycles.  Returns 0 on success with
- * the cursor/stat scalars updated; any nonzero return leaves no
- * Python-visible state change (the backend replays the slice). */
+ * the cursor/stat scalars updated; on a nonzero return the backend
+ * replays the slice, which rewrites every TM_* entry written here with
+ * the same value (the only Python-owned memory the kernel touches). */
 __attribute__((visibility("default")))
 i64 repro_run(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
     Ctx ctx = { sc_blk, pt_blk, pages_blk };
@@ -1128,6 +1133,7 @@ i64 repro_run(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
     const i64 max_cycles = SC(MAX_CYCLES);
     const int reno = (int)SC(MODE);
     const int record = (int)SC(RECORD_STATS);
+    const int timing = (int)SC(TIMING);
     i64 cycle = SC(CYCLE);
     i64 committed = SC(COMMITTED);
     i64 fetch_index = SC(FETCH_INDEX);
@@ -1218,6 +1224,10 @@ i64 repro_run(i64 *sc_blk, i64 **pt_blk, uint8_t *pages_blk) {
                     case ELIM_CSE:  SC(D_ELIM_CSE)++; break;
                     case ELIM_RA:   SC(D_ELIM_RA)++; break;
                     }
+                }
+                if (timing) {
+                    P(TM_COMPLETE)[committed] = P(W_COMPLETE)[slot];
+                    P(TM_RETIRE)[committed] = cycle;
                 }
                 P(W_COMPLETE)[slot] = NO_COMPLETE;
                 committed++;
@@ -1310,6 +1320,7 @@ _KERNEL += r"""
                     value0 = (u64)P(PRF_VAL)[P(W_S0P)[eslot]];
                     if (ns > 1) value1 = (u64)P(PRF_VAL)[P(W_S1P)[eslot]];
                 }
+                if (timing) P(TM_ISSUE)[seq] = cycle;
                 if (cls == CLASS_LOAD) {
                     u64 address = value0 + (u64)P(S_IMM)[sidx];
                     if (address != (u64)P(T_EFF)[seq]) return ERR_LOAD_ADDR;
@@ -1343,9 +1354,8 @@ _KERNEL += r"""
                     }
                     if (P(W_REPLAYED)[eslot]) dlat += SC(VIO_PENALTY);
                     P(W_VALUE)[eslot] = (i64)value;
-                    P(W_DCACHE)[eslot] = dlat;
+                    if (timing) P(TM_DCACHE_LATENCY)[seq] = dlat;
                     i64 tot = P(S_LAT)[sidx] + fextra + dlat;
-                    P(W_LATENCY)[eslot] = tot;
                     P(W_COMPLETE)[eslot] = cycle + tot;
                     i64 dst = P(W_DEST)[eslot];
                     if (dst >= 0) {
@@ -1399,7 +1409,7 @@ _KERNEL += r"""
                             return ERR_INTERNAL;
                     }
                 }
-                if (P(W_MISPRED)[eslot] && waiting_branch == seq) {
+                if (waiting_branch == seq) {   /* a mispredicted branch */
                     fetch_resume = complete + SC(FE_DEPTH);
                     waiting_branch = NO_BRANCH;
                     stall_reason = STALL_BRANCH;
@@ -1453,7 +1463,7 @@ _KERNEL += r"""
                     i64 ns = P(S_NSRC)[sidx];
                     int eliminated = 0;
                     i64 p0 = -1, d0 = 0, p1 = -1, d1 = 0, fextra = 0;
-                    i64 newp = -1;
+                    i64 newp = -1, shared = -1;
                     if (!reno) {
                         /* Conventional renaming (BaselineRenamer). */
                         if (dest >= 0 && !SC(FREE_LEN)) {
@@ -1526,6 +1536,7 @@ _KERNEL += r"""
                             case ELIM_RA:   SC(RN_RA)++; break;
                             }
                             eliminated = 1;
+                            shared = epreg;
                             P(W_PREV)[dslot] = prevp;
                             P(W_ELIM)[dslot] = ekind
                                 | (ereex ? ELIM_REEXEC : 0);
@@ -1578,6 +1589,16 @@ _KERNEL += r"""
                         }
                     }
                     P(W_DISPATCH)[dslot] = cycle;
+                    if (timing) {
+                        P(TM_DISPATCH)[seq] = cycle;
+                        P(TM_SRC0_PREG)[seq] = p0;
+                        P(TM_SRC1_PREG)[seq] = p1;
+                        P(TM_SHARED_PREG)[seq] = shared;
+                        P(TM_ALLOC_PREG)[seq] = newp;
+                        ((uint8_t *)P(TM_FLAGS))[seq] = (uint8_t)(
+                            ((flags & DF_LOAD) ? TIMING_LOAD : 0)
+                            | (eliminated ? TIMING_ELIMINATED : 0));
+                    }
                     if (is_taken) taken_branches++;
 
                     /* Branch prediction (inlined BranchUnit.process). */
@@ -1589,7 +1610,6 @@ _KERNEL += r"""
                                                               is_taken);
                             if (predicted != is_taken) {
                                 SC(BR_MISPRED)++;
-                                P(W_MISPRED)[dslot] = 1;
                                 waiting_branch = seq;
                                 fetch_resume = STALLED_SENTINEL;
                                 stall_reason = STALL_BRANCH;
@@ -1611,7 +1631,6 @@ _KERNEL += r"""
                                 stall_reason = STALL_FRONTEND;
                                 stop_after = 1;
                             } else if (r == 2) {
-                                P(W_MISPRED)[dslot] = 1;
                                 waiting_branch = seq;
                                 fetch_resume = STALLED_SENTINEL;
                                 stall_reason = STALL_BRANCH;

@@ -6,17 +6,20 @@ One :class:`KernelState` is built per pipeline (cached by the backend in a
 simulator already recorded it as typed columns in the kernel's ``T_*``
 typecodes, so construction points the ``T_*`` pointer slots at the trace's
 own arrays, and every pipeline built on one trace hands the kernel the same
-buffers.  Construction flattens the rest of what is *static* — the
-decoded-op tables, the per-opcode tables, the machine geometry — and
-allocates every dynamic buffer once, so a ``run_cycles`` call only copies
-the *live* simulation state in and out.
+buffers; the ``TM_*`` slots likewise point at a timing pipeline's own
+:class:`~repro.uarch.inflight.TimingColumns`.  Construction flattens the
+rest of what is *static* — the decoded-op tables, the per-opcode tables,
+the machine geometry — and allocates every dynamic buffer once, so a
+``run_cycles`` call only copies the *live* simulation state in and out.
 
-The contract that makes the no-side-effects-on-error strategy work:
+The contract that makes the replay-on-error strategy work:
 :meth:`KernelState.marshal_in` never mutates any Python object — it only
-reads the pipeline and writes the flat buffers.  When the kernel returns a
-nonzero error code the backend simply replays the slice with the python
-reference loop and the outcome (including the exception the reference
-raises) is exactly what an all-python run would have produced.
+reads the pipeline and writes the flat buffers (the kernel's timing
+writes are replay-safe, see :mod:`repro.uarch.compiled.emit`).  When the
+kernel returns a nonzero error code the backend simply replays the slice
+with the python reference loop and the outcome (including the exception
+the reference raises) is exactly what an all-python run would have
+produced.
 
 Two deliberate, behaviourally invisible normalisations happen at
 marshal-out:
@@ -39,6 +42,7 @@ from repro.core.maptable import Mapping
 from repro.isa.instruction import DF_LOAD
 from repro.uarch.compiled import emit
 from repro.uarch.compiled.emit import PT, POINTERS, SC, SCALARS, VALUE_TO_ID
+from repro.uarch.inflight import TimingColumns
 from repro.uarch.lsq import StoreQueueEntry
 from repro.uarch.rename import RenameResult
 
@@ -256,8 +260,8 @@ class KernelState:
     def _alloc_dynamic(self, config) -> None:
         """Allocate every live-state buffer once (addresses stay stable)."""
         ws, np_, rs = self.wsize, self.num_pregs, self.rstride
-        for name in ("W_DISPATCH", "W_COMPLETE", "W_LATENCY", "W_DCACHE",
-                     "W_REPLAYED", "W_MISPRED", "W_CLASS", "W_WAITING",
+        for name in ("W_DISPATCH", "W_COMPLETE",
+                     "W_REPLAYED", "W_CLASS", "W_WAITING",
                      "W_DEST", "W_PREV", "W_ELIM", "W_FEXTRA", "W_NSRC",
                      "W_S0P", "W_S0D", "W_S1P", "W_S1D", "RRE_P", "RRE_D"):
             self._new(name, "q", ws)
@@ -327,8 +331,12 @@ class KernelState:
                          "OC_READY", "OC_ISSUED", "OC_CLASS", "OC_STALL"):
                 self._new(name, "q", 1)
         # Page-pool members get placeholders; _ensure_pages re-registers.
+        # Timing members likewise: marshal_in points them at the pipeline's
+        # columns (the kernel skips them entirely when TIMING=0).
         for name in ("PAGE_NUM", "PAGE_DIRTY", "PH_KEY", "PH_VAL"):
             self._new(name, "q", 1)
+        for column in TimingColumns.COLUMNS:
+            self._new(f"TM_{column.upper()}", "q", 1)
 
     def _seed_geometry(self, pipeline) -> None:
         """Write the static-configuration scalar group (once)."""
@@ -352,6 +360,7 @@ class KernelState:
         put("MAX_CYCLES", config.max_cycles)
         put("MODE", 1 if self.reno else 0)
         put("RECORD_STATS", 1 if self.record_stats else 0)
+        put("TIMING", 1 if pipeline.collect_timing else 0)
         put("FB_SHIFT", pipeline._fetch_block_bytes.bit_length() - 1)
         put("TOTAL_ISSUE", config.total_issue)
         put("W_INT", config.int_issue)
@@ -442,13 +451,10 @@ class KernelState:
         # -- window (structure of arrays) ------------------------------
         a["W_DISPATCH"][:] = array("q", window.dispatch_cycle)
         a["W_COMPLETE"][:] = array("q", window.complete_cycle)
-        a["W_LATENCY"][:] = array("q", window.latency)
         a["W_VALUE"][:] = array(
             "Q", (0 if v is None else v for v in window.value))
         a["W_EFF"][:] = array("Q", window.eff_addr)
-        a["W_DCACHE"][:] = array("q", window.dcache_latency)
         a["W_REPLAYED"][:] = array("q", map(int, window.replayed))
-        a["W_MISPRED"][:] = array("q", map(int, window.mispredicted))
         a["W_CLASS"][:] = array("q", window.class_id)
         a["W_WAITING"][:] = array("q", window.waiting_ops)
         a["W_DEST"][:] = array("q", window.dest_preg)
@@ -631,6 +637,14 @@ class KernelState:
             a["OC_CLASS"][:] = array("q", occ.issued_by_class)
             a["OC_STALL"][:] = array("q", occ.fetch_stall_reasons)
 
+        # -- timing columns (aliased, not copied) ----------------------
+        # Re-pointed every slice: restore() hands the pipeline a new
+        # TimingColumns object.
+        timing = pipeline.timing_columns
+        if timing is not None:
+            for column in timing.COLUMNS:
+                a[f"TM_{column.upper()}"] = getattr(timing, column)
+
         self._register_pointers()
 
     def _marshal_in_rename(self, pipeline) -> None:
@@ -797,12 +811,9 @@ class KernelState:
         # -- window (structure of arrays) ------------------------------
         window.dispatch_cycle[:] = a["W_DISPATCH"].tolist()
         window.complete_cycle[:] = a["W_COMPLETE"].tolist()
-        window.latency[:] = a["W_LATENCY"].tolist()
         window.value[:] = a["W_VALUE"].tolist()
         window.eff_addr[:] = a["W_EFF"].tolist()
-        window.dcache_latency[:] = a["W_DCACHE"].tolist()
         window.replayed[:] = [bool(v) for v in a["W_REPLAYED"]]
-        window.mispredicted[:] = [bool(v) for v in a["W_MISPRED"]]
         window.class_id[:] = a["W_CLASS"].tolist()
         window.waiting_ops[:] = a["W_WAITING"].tolist()
         window.dest_preg[:] = a["W_DEST"].tolist()

@@ -70,7 +70,9 @@ from repro.uarch.backend import CycleLoopBackend, resolve_backend
 from repro.uarch.branch import BranchUnit
 from repro.uarch.cache import CacheHierarchy
 from repro.uarch.config import MachineConfig
-from repro.uarch.inflight import NO_COMPLETE, InFlightWindow, TimingRecord
+from repro.uarch.inflight import (
+    NO_COMPLETE, TIMING_ELIMINATED, TIMING_LOAD, InFlightWindow, TimingColumns,
+)
 from repro.uarch.lsq import LoadQueue, StoreQueue, StoreQueueEntry
 from repro.uarch.observe import (
     DEFAULT_TIMELINE_CAPACITY,
@@ -124,7 +126,7 @@ class SimResult:
     stats: SimStats
     config: MachineConfig
     final_registers: list[int] = field(default_factory=list)
-    timing_records: list[TimingRecord] | None = None
+    timing_records: TimingColumns | None = None
     finished: bool = True
     timeline: list[tuple] | None = None
 
@@ -164,8 +166,9 @@ class Pipeline:
             renamer: The renaming implementation; defaults to the conventional
                 renamer.  Pass a :class:`repro.core.renamer.RenoRenamer` to
                 enable RENO.
-            collect_timing: If True, keep a per-retired-instruction timing
-                record for critical-path analysis (costs memory).
+            collect_timing: If True, fill per-instruction timing columns
+                (:class:`~repro.uarch.inflight.TimingColumns`) for
+                critical-path analysis (costs memory).
             backend: Which cycle-loop implementation runs the simulation —
                 a registered backend name (``"python"``, ``"compiled"``), a
                 :class:`~repro.uarch.backend.CycleLoopBackend` object, or
@@ -229,7 +232,8 @@ class Pipeline:
         self.timeline: TimelineRecorder | None = (
             TimelineRecorder(stride=timeline_stride, capacity=timeline_capacity)
             if timeline_stride > 0 else None)
-        self.timing_records: list[TimingRecord] = []
+        self.timing_columns: TimingColumns | None = (
+            TimingColumns(self._trace_length) if collect_timing else None)
 
         # Run cursors + front-end state (mirrored from the cycle loop's
         # locals at the end of every _run_cycles call, so an incremental run
@@ -243,11 +247,6 @@ class Pipeline:
         # Which observe.STALL_* bucket the current fetch stall belongs to
         # (only read while record_stats is on).
         self._fetch_stall_reason = STALL_BRANCH
-
-        # preg -> sequence number of the instruction producing it (for the
-        # critical-path model).
-        self._preg_writer: dict[int, int] = {}
-        self._producers: dict[int, tuple[int, ...]] = {}
 
         # Loads currently being held back because of an ordering violation.
         self._violated_loads: set[int] = set()
@@ -281,23 +280,6 @@ class Pipeline:
         # registered waiters, so the membership test saves the call.
         self._iq_waiters = self.issue_queue._waiters
         self._iq_wakeup = self.issue_queue.wakeup
-        # Window-array aliases (list identities are stable between runs).
-        window = self.window
-        self._w_mask = window.mask
-        self._w_dispatch = window.dispatch_cycle
-        self._w_issue = window.issue_cycle
-        self._w_complete = window.complete_cycle
-        self._w_retire = window.retire_cycle
-        self._w_latency = window.latency
-        self._w_value = window.value
-        self._w_eff = window.eff_addr
-        self._w_dcache = window.dcache_latency
-        self._w_replayed = window.replayed
-        self._w_mispred = window.mispredicted
-        self._w_rename = window.rename
-        self._w_decoded = window.decoded
-        self._w_dest = window.dest_preg
-        self._w_fextra = window.fusion_extra
 
     # ------------------------------------------------------------------
     # Top level
@@ -347,15 +329,18 @@ class Pipeline:
         self._merge_component_stats()
         finished = self.finished
         stats = self.stats
-        records = self.timing_records if self.collect_timing else None
+        records = self.timing_columns
+        if records is not None:
+            records.count = self._committed
         timeline = self.timeline.ordered() if self.timeline is not None else None
         if not finished:
             # A partial result must be a point-in-time view: later slices
-            # keep mutating the live stats/records, and callers (progress
+            # keep mutating the live stats/columns, and callers (progress
             # reports, checkpointing workers) naturally stash per-slice
             # results.
             stats = copy.deepcopy(stats)
-            records = list(records) if records is not None else None
+            if records is not None:
+                records = records.retired_prefix()
         return SimResult(
             stats=stats,
             config=self.config,
@@ -381,10 +366,9 @@ class Pipeline:
     _SNAPSHOT_STATE = (
         "prf", "renamer", "branch_unit", "caches", "store_sets", "window",
         "issue_queue", "rob", "store_queue", "load_queue", "memory",
-        "stats", "timeline", "timing_records", "_cycle", "_committed",
+        "stats", "timeline", "timing_columns", "_cycle", "_committed",
         "_fetch_index", "_fetch_resume_cycle", "_waiting_branch",
-        "_last_fetch_block", "_fetch_stall_reason",
-        "_preg_writer", "_producers", "_violated_loads",
+        "_last_fetch_block", "_fetch_stall_reason", "_violated_loads",
     )
 
     #: ``__init__`` attributes deliberately *outside* the snapshot: the
@@ -562,27 +546,24 @@ class Pipeline:
                     it_invalidate = table.invalidate_preg
         df_mem = DF_LOAD | DF_STORE
 
-        mask = self._w_mask
-        w_dispatch = self._w_dispatch
-        w_issue = self._w_issue
-        w_complete = self._w_complete
-        w_latency = self._w_latency
-        w_value = self._w_value
-        w_eff = self._w_eff
-        w_dcache = self._w_dcache
-        w_replayed = self._w_replayed
-        w_mispred = self._w_mispred
-        w_rename = self._w_rename
-        w_decoded = self._w_decoded
-        w_dest = self._w_dest
-        w_prev = self.window.prev_dest
-        w_elim = self.window.elim_info
-        w_fextra = self._w_fextra
-        w_nsrc = self.window.nsrc
-        w_s0p = self.window.src0_preg
-        w_s0d = self.window.src0_disp
-        w_s1p = self.window.src1_preg
-        w_s1d = self.window.src1_disp
+        window = self.window
+        mask = window.mask
+        w_dispatch = window.dispatch_cycle
+        w_complete = window.complete_cycle
+        w_value = window.value
+        w_eff = window.eff_addr
+        w_replayed = window.replayed
+        w_rename = window.rename
+        w_decoded = window.decoded
+        w_dest = window.dest_preg
+        w_prev = window.prev_dest
+        w_elim = window.elim_info
+        w_fextra = window.fusion_extra
+        w_nsrc = window.nsrc
+        w_s0p = window.src0_preg
+        w_s0d = window.src0_disp
+        w_s1p = window.src1_preg
+        w_s1d = window.src1_disp
 
         prf_values = self._prf_values
         prf_ready = self._prf_ready
@@ -607,10 +588,18 @@ class Pipeline:
         rob_capacity = self._rob_capacity
         num_pregs = self.config.num_physical_regs
         collect_timing = self.collect_timing
-        preg_writer = self._preg_writer
-        producers_map = self._producers
-        timing_append = self.timing_records.append
-        record_producers = self._record_producers
+        if collect_timing:
+            timing = self.timing_columns
+            tm_dispatch = timing.dispatch
+            tm_issue = timing.issue
+            tm_complete = timing.complete
+            tm_retire = timing.retire
+            tm_dcache = timing.dcache_latency
+            tm_flags = timing.flags
+            tm_src0 = timing.src0_preg
+            tm_src1 = timing.src1_preg
+            tm_shared = timing.shared_preg
+            tm_alloc = timing.alloc_preg
         reexecute_load = self._reexecute_load
         check_value = self._check_value
 
@@ -797,24 +786,8 @@ class Pipeline:
                         elif kind == 4:
                             elim_ra += 1
                     if collect_timing:
-                        self._w_retire[slot] = cycle
-                        timing_append(TimingRecord(
-                            seq=committed,
-                            opcode=op[6].value,
-                            fetch_cycle=w_dispatch[slot],  # fetch == dispatch
-                            dispatch_cycle=w_dispatch[slot],
-                            issue_cycle=w_issue[slot],
-                            complete_cycle=w_complete[slot],
-                            retire_cycle=cycle,
-                            is_load=bool(flags & DF_LOAD),
-                            is_store=bool(flags & DF_STORE),
-                            is_branch=bool(flags & DF_CONTROL),
-                            mispredicted=w_mispred[slot],
-                            eliminated=bool(elim),
-                            dcache_latency=w_dcache[slot],
-                            latency=w_latency[slot],
-                            source_producers=producers_map.pop(committed, ()),
-                        ))
+                        tm_complete[committed] = w_complete[slot]
+                        tm_retire[committed] = cycle
                     # Retirement: release the slot (the NO_COMPLETE reset is
                     # what the commit guard and slot-reuse contract rely on).
                     w_complete[slot] = NO_COMPLETE
@@ -1041,7 +1014,7 @@ class Pipeline:
                         if ns > 1:
                             value1 = prf_values[w_s1p[slot]]
                     if collect_timing:
-                        w_issue[slot] = cycle     # only timing records read it
+                        tm_issue[seq] = cycle
                     class_id = op[1]
                     flags = op[0]
                     if class_id == CLASS_LOAD:
@@ -1086,9 +1059,9 @@ class Pipeline:
                         if w_replayed[slot]:
                             dcache_latency += violation_penalty
                         w_value[slot] = value
-                        w_dcache[slot] = dcache_latency
+                        if collect_timing:
+                            tm_dcache[seq] = dcache_latency
                         total_latency = op[2] + fextra + dcache_latency
-                        w_latency[slot] = total_latency
                         w_complete[slot] = cycle + total_latency
                         dest_preg = w_dest[slot]
                         if dest_preg >= 0:
@@ -1182,7 +1155,7 @@ class Pipeline:
                                     heappush(wakeup_heap, ready)
                                 else:
                                     bucket.extend(waiters)
-                    if w_mispred[slot] and waiting_branch == seq:
+                    if waiting_branch == seq:     # a mispredicted branch
                         fetch_resume = complete + front_end_depth
                         waiting_branch = _NO_BRANCH
                         stall_reason = STALL_BRANCH
@@ -1269,20 +1242,6 @@ class Pipeline:
                                 if ns > 1:
                                     p1 = bmap[srcs[1]]
                                     w_s1p[slot] = p1
-                            if collect_timing:
-                                if ns == 0:
-                                    producers_map[seq] = ()
-                                elif ns == 1:
-                                    producers_map[seq] = (preg_writer.get(p0, -1),)
-                                else:
-                                    producers_map[seq] = (
-                                        preg_writer.get(p0, -1),
-                                        preg_writer.get(p1, -1),
-                                    )
-                                w_issue[slot] = -1
-                                w_dcache[slot] = 0
-                                w_mispred[slot] = False
-                                w_latency[slot] = op[2]
                             if dest_logical >= 0:
                                 new_preg = bfree_popleft()
                                 alloc_total += 1
@@ -1290,8 +1249,6 @@ class Pipeline:
                                 bmap[dest_logical] = new_preg
                                 prf_ready[new_preg] = NOT_READY
                                 w_dest[slot] = new_preg
-                                if collect_timing:
-                                    preg_writer[new_preg] = seq
                                 pregs_allocated += 1
                             else:
                                 w_dest[slot] = -1
@@ -1375,8 +1332,6 @@ class Pipeline:
                                     prf_ready[new_preg] = NOT_READY
                                     w_dest[slot] = new_preg
                                     w_prev[slot] = prev_preg
-                                    if collect_timing:
-                                        preg_writer[new_preg] = seq
                                     pregs_allocated += 1
                                 else:
                                     w_dest[slot] = -1
@@ -1395,12 +1350,6 @@ class Pipeline:
                                                           or rn_policy_full):
                                     rn_insert_it(trace, seq, op, sources, result)
                             w_rename[slot] = result
-                            if collect_timing:
-                                record_producers(seq, result)
-                                w_issue[slot] = -1
-                                w_dcache[slot] = 0
-                                w_mispred[slot] = False
-                                w_latency[slot] = op[2]
                         else:
                             # Pluggable renaming: one interface call per
                             # instruction.
@@ -1420,18 +1369,10 @@ class Pipeline:
                                        else 0))
                             else:
                                 w_elim[slot] = 0
-                            if collect_timing:
-                                record_producers(seq, result)
-                                w_issue[slot] = -1
-                                w_dcache[slot] = 0
-                                w_mispred[slot] = False
-                                w_latency[slot] = op[2]
                             if result.allocated:
                                 dest_preg = result.dest_preg
                                 prf_ready[dest_preg] = NOT_READY
                                 w_dest[slot] = dest_preg
-                                if collect_timing:
-                                    preg_writer[dest_preg] = seq
                                 pregs_allocated += 1
                             else:
                                 w_dest[slot] = -1
@@ -1439,6 +1380,21 @@ class Pipeline:
                             sources = result.sources
                         w_dispatch[slot] = cycle
                         w_decoded[slot] = op
+                        if collect_timing:
+                            tm_dispatch[seq] = cycle
+                            tm_alloc[seq] = w_dest[slot]
+                            if sources is None:     # conventional fast path
+                                tm_src0[seq] = p0
+                                tm_src1[seq] = p1
+                            elif sources:
+                                tm_src0[seq] = sources[0].preg
+                                if len(sources) > 1:
+                                    tm_src1[seq] = sources[1].preg
+                            tm_flags[seq] = (
+                                (TIMING_LOAD if flags & DF_LOAD else 0)
+                                | (TIMING_ELIMINATED if eliminated else 0))
+                            if eliminated and result.dest_preg is not None:
+                                tm_shared[seq] = result.dest_preg
 
                         if is_taken_control:
                             taken_branches += 1
@@ -1455,7 +1411,6 @@ class Pipeline:
                                     pc, is_taken_control)
                                 if predicted_taken != is_taken_control:
                                     branch_unit.mispredictions += 1
-                                    w_mispred[slot] = True
                                     waiting_branch = seq
                                     fetch_resume = _STALLED
                                     stall_reason = STALL_BRANCH
@@ -1479,7 +1434,6 @@ class Pipeline:
                                         fetch_resume = cycle + 2
                                         stall_reason = STALL_FRONTEND
                                     else:
-                                        w_mispred[slot] = True
                                         waiting_branch = seq
                                         fetch_resume = _STALLED
                                         stall_reason = STALL_BRANCH
@@ -1821,7 +1775,7 @@ class Pipeline:
     def _reexecute_load(self, seq: int, op: tuple, cycle: int) -> None:
         """Re-execute an integration-eliminated load through the retire port."""
         address = self.trace.eff_addr[seq]
-        rename = self._w_rename[seq & self._w_mask]
+        rename = self.window.rename[seq & self.window.mask]
         raw = self.memory.read(address, op[3])
         value = sign_extend(raw, 8 * op[3]) if op[0] & DF_MEM_SIGNED else raw
         shared = mask64(self.prf.read(rename.dest_preg) + rename.dest_disp)
@@ -1836,11 +1790,11 @@ class Pipeline:
         if instruction.dest_register is None or not trace.result_has[seq]:
             return
         expected = trace.result[seq]
-        rename = self._w_rename[slot]
+        rename = self.window.rename[slot]
         if rename is not None and rename.eliminated:
             produced = mask64(self.prf.read(rename.dest_preg) + rename.dest_disp)
         else:
-            produced = self._w_value[slot]
+            produced = self.window.value[slot]
         if produced != expected:
             eliminated = rename is not None and rename.eliminated
             kind = rename.elim_kind if rename is not None else None
@@ -1881,14 +1835,6 @@ class Pipeline:
                 self._violated_loads.add(seq)
                 self.stats.memory_order_violations += 1
                 self.stats.load_replays += 1
-                self._w_replayed[seq & self._w_mask] = True
+                self.window.replayed[seq & self.window.mask] = True
                 self.store_sets.train_violation(pc, check.store.pc)
         return False
-
-    def _record_producers(self, seq: int, result) -> None:
-        producers = tuple(
-            self._preg_writer.get(source.preg, -1) for source in result.sources
-        )
-        if result.eliminated and result.dest_preg is not None:
-            producers = producers + (self._preg_writer.get(result.dest_preg, -1),)
-        self._producers[seq] = producers

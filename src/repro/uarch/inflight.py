@@ -25,24 +25,25 @@ Slot discipline (the invariants the pipeline and scheduler rely on):
   read: each field is either (re)written at dispatch for every instruction
   that later reads it, or only read on paths gated by flags that imply it
   was written (e.g. ``value`` is only compared at commit for instructions
-  with a destination, all of which wrote it at execute).  The cosmetic
-  timing fields (``issue_cycle``, ``retire_cycle``, ``dcache_latency``,
-  ``mispredicted``, ``latency``) are additionally reset at dispatch when
-  timing records are collected.
+  with a destination, all of which wrote it at execute).
 * This model has no pipeline flush (wrong-path instructions are never
   injected; a misprediction only stalls the front end), so slot reclamation
   happens exclusively through in-order retirement — a flush would be a
   head/tail slot-range reset of ``complete_cycle``, not an object-graph
   teardown.
 
-``TimingRecord`` (the per-retired-instruction record consumed by the
-critical-path model) is unchanged; the pipeline builds it from the arrays at
-commit when timing collection is on.
+Per-instruction timing for the critical-path model lives outside the
+window, in :class:`TimingColumns`: one typed column per field indexed by
+``seq`` (not by slot), so nothing is reset at dispatch and nothing is
+copied at retirement.  Both cycle loops (the python reference and the
+compiled kernel) write the columns in place: dispatch, registers and
+flags at dispatch, issue cycle and d-cache latency at execute, complete
+and retire cycles at retirement (when the completion time is final).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
 
 #: ``complete_cycle`` sentinel: the slot is empty, or its instruction has
 #: not completed execution yet.  Beyond any reachable cycle count.
@@ -63,15 +64,10 @@ class InFlightWindow:
         "size",
         "mask",
         "dispatch_cycle",
-        "issue_cycle",
         "complete_cycle",
-        "retire_cycle",
-        "latency",
         "value",
         "eff_addr",
-        "dcache_latency",
         "replayed",
-        "mispredicted",
         "class_id",
         "waiting_ops",
         "rename",
@@ -92,14 +88,12 @@ class InFlightWindow:
 
         Per-slot fields:
 
-        * ``dispatch_cycle`` / ``issue_cycle`` / ``complete_cycle`` /
-          ``retire_cycle`` — the timing milestones (fetch == dispatch in
-          this front-end model); ``complete_cycle`` doubles as the slot
+        * ``dispatch_cycle`` / ``complete_cycle`` — the cycles the
+          scheduler and the commit guard read (fetch == dispatch in this
+          front-end model); ``complete_cycle`` doubles as the slot
           lifecycle marker (see :data:`NO_COMPLETE`).
-        * ``latency`` — execution latency charged (loads fold the d-cache
-          latency in at execute).
-        * ``value`` / ``eff_addr`` / ``dcache_latency`` / ``replayed`` /
-          ``mispredicted`` — execution results and memory/branch details.
+        * ``value`` / ``eff_addr`` / ``replayed`` — execution results and
+          memory details.
         * ``class_id`` — issue-port class id (set at issue-queue insertion).
         * ``waiting_ops`` — outstanding-operand count, owned by the issue
           queue's wakeup machinery.
@@ -130,15 +124,10 @@ class InFlightWindow:
         self.size = size
         self.mask = size - 1
         self.dispatch_cycle = [0] * size
-        self.issue_cycle = [-1] * size
         self.complete_cycle = [NO_COMPLETE] * size
-        self.retire_cycle = [-1] * size
-        self.latency = [1] * size
         self.value = [None] * size
         self.eff_addr = [0] * size
-        self.dcache_latency = [0] * size
         self.replayed = [False] * size
-        self.mispredicted = [False] * size
         self.class_id = [0] * size
         self.waiting_ops = [0] * size
         self.rename = [None] * size
@@ -153,40 +142,67 @@ class InFlightWindow:
         self.src1_preg = [0] * size
         self.src1_disp = [0] * size
 
-    def slot(self, seq: int) -> int:
-        """The slot owned by sequence number ``seq`` while it is in flight."""
-        return seq & self.mask
 
-    @staticmethod
-    def occupancy(committed: int, fetched: int) -> int:
-        """ROB occupancy between the retire head and the fetch tail.
-
-        The window itself holds no head/tail state — the pipeline owns both
-        sequence counters — so occupancy is simply their distance.  This is
-        the probe the observability layer
-        (:class:`repro.uarch.observe.OccupancyStats`) samples once per
-        cycle; the inlined cycle loop computes the same expression on its
-        locals.
-        """
-        return fetched - committed
+#: :attr:`TimingColumns.flags` bits.
+TIMING_LOAD = 1
+TIMING_ELIMINATED = 2
 
 
-@dataclass(slots=True)
-class TimingRecord:
-    """Compact per-retired-instruction record used by the critical-path model."""
+class TimingColumns:
+    """Per-instruction timing for the critical-path model, one column per
+    field, indexed by sequence number.
 
-    seq: int
-    opcode: str
-    fetch_cycle: int
-    dispatch_cycle: int
-    issue_cycle: int
-    complete_cycle: int
-    retire_cycle: int
-    is_load: bool
-    is_store: bool
-    is_branch: bool
-    mispredicted: bool
-    eliminated: bool
-    dcache_latency: int
-    latency: int
-    source_producers: tuple[int, ...] = field(default_factory=tuple)
+    Allocated once per pipeline that collects timing, sized to the whole
+    trace; the python loop and the compiled kernel write the entries in
+    place (the kernel through pointers to these very buffers).  Entries of
+    instructions that never reach an event keep the column default.
+
+    Columns (``array('q')`` unless noted):
+
+    * ``dispatch`` / ``issue`` / ``complete`` / ``retire`` — the
+      instruction's cycles; ``issue`` stays -1 for instructions that never
+      issue (eliminated, NOP/HALT).
+    * ``dcache_latency`` — the data-cache latency a load was charged.
+    * ``flags`` (``array('B')``) — :data:`TIMING_LOAD` and
+      :data:`TIMING_ELIMINATED`.
+    * ``src0_preg`` / ``src1_preg`` — the renamed source registers;
+      ``shared_preg`` — the register an eliminated instruction shares;
+      ``alloc_preg`` — the register the instruction allocated (all -1 for
+      none).  :func:`repro.analysis.critpath.source_producers` derives each
+      instruction's producers from these after the run.
+
+    ``count`` is the number of retired instructions: entries at and past
+    it belong to in-flight or not-yet-fetched instructions.  ``len()`` and
+    ``==`` cover the retired prefix only.
+    """
+
+    COLUMNS = ("dispatch", "issue", "complete", "retire", "dcache_latency",
+               "flags", "src0_preg", "src1_preg", "shared_preg", "alloc_preg")
+
+    __slots__ = ("count",) + COLUMNS
+
+    def __init__(self, length: int):
+        """Allocate every column for a ``length``-instruction trace."""
+        self.count = 0
+        for name in self.COLUMNS:
+            initial = -1 if name == "issue" or name.endswith("_preg") else 0
+            setattr(self, name, array("B" if name == "flags" else "q", [initial]) * length)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TimingColumns):
+            return NotImplemented
+        count = self.count
+        return count == other.count and all(
+            getattr(self, name)[:count] == getattr(other, name)[:count]
+            for name in self.COLUMNS)
+
+    def retired_prefix(self) -> "TimingColumns":
+        """A detached copy holding only the retired entries."""
+        prefix = TimingColumns.__new__(TimingColumns)
+        prefix.count = count = self.count
+        for name in self.COLUMNS:
+            setattr(prefix, name, getattr(self, name)[:count])
+        return prefix

@@ -60,11 +60,6 @@ class StoreQueue:
         return len(self.entries)
 
     @property
-    def occupancy(self) -> int:
-        """Entries currently held (the observability layer's SQ probe)."""
-        return len(self.entries)
-
-    @property
     def full(self) -> bool:
         """True when no store-queue entry is free."""
         return len(self.entries) >= self.capacity
@@ -136,16 +131,6 @@ class LoadQueue:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def occupancy(self) -> int:
-        """Entries currently held (the observability layer's LQ probe)."""
-        return len(self.entries)
-
-    @property
-    def full(self) -> bool:
-        """True when no load-queue entry is free."""
-        return len(self.entries) >= self.capacity
 
     def add(self, seq: int) -> None:
         """Track an in-flight load (capacity limit only)."""

@@ -129,27 +129,6 @@ class IssueQueue:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def full(self) -> bool:
-        """True when the window has no free entry."""
-        return self._count >= self.capacity
-
-    @property
-    def free_entries(self) -> int:
-        """Remaining window capacity."""
-        return self.capacity - self._count
-
-    def ready_depths(self) -> tuple[int, int, int, int]:
-        """Current per-class ready-list depths (class-id order).
-
-        The occupancy-observability probe
-        (:class:`repro.uarch.observe.OccupancyStats` ``ready`` histograms):
-        how many woken instructions each issue-port class is holding this
-        cycle, before selection.
-        """
-        ready = self._ready
-        return (len(ready[0]), len(ready[1]), len(ready[2]), len(ready[3]))
-
     def add(
         self,
         seq: int,

@@ -23,7 +23,7 @@ service and parked on disk between slices.
 Exactness contract: ``run(max_cycles=k)`` → ``snapshot()`` → (new pipeline)
 → ``restore()`` → ``run()`` produces results byte-identical to a single
 uninterrupted ``run()`` — the same statistics, final registers and timing
-records.  The property tests in ``tests/uarch/test_snapshot_restore.py``
+columns.  The property tests in ``tests/uarch/test_snapshot_restore.py``
 enforce this cycle-for-cycle on seeded random programs for both the
 conventional and the RENO renamer.
 """
@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 #: Bump whenever the snapshot payload layout changes incompatibly.
-#: Version 2 records the trace digest.
-SNAPSHOT_VERSION = 2
+#: Version 2 records the trace digest; version 3 carries timing as
+#: per-instruction columns and drops the live producer maps.
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(Exception):
@@ -53,7 +54,7 @@ class PipelineSnapshot:
         config_digest: :meth:`MachineConfig.digest` of the source pipeline.
         trace_length: Dynamic instruction count of the source trace.
         trace_digest: :meth:`Trace.digest` of the source trace.
-        collect_timing: Whether the source run collected timing records.
+        collect_timing: Whether the source run collected timing columns.
         cycle: Simulated cycle count at capture time (informational).
         committed: Instructions retired at capture time (informational).
         version: :data:`SNAPSHOT_VERSION` at capture time.

@@ -105,19 +105,3 @@ class SimStats:
     def cse_ra_rate(self) -> float:
         """RENO_CSE+RA integrations per committed instruction."""
         return (self.eliminated_cse + self.eliminated_ra) / self.committed if self.committed else 0.0
-
-    @property
-    def dcache_miss_rate(self) -> float:
-        """L1D misses per access (0.0 with no accesses)."""
-        return self.dcache_misses / self.dcache_accesses if self.dcache_accesses else 0.0
-
-    @property
-    def it_hit_rate(self) -> float:
-        """Integration-table hits per lookup (0.0 with no lookups)."""
-        return self.it_hits / self.it_lookups if self.it_lookups else 0.0
-
-    def speedup_over(self, baseline: "SimStats") -> float:
-        """Relative performance versus a baseline run of the same workload."""
-        if self.cycles == 0 or baseline.cycles == 0:
-            return 1.0
-        return baseline.cycles / self.cycles

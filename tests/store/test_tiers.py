@@ -7,6 +7,7 @@ HTTP tier runs against a real in-thread ``StoreServer``.
 """
 
 import logging
+import pickle
 import threading
 
 import pytest
@@ -14,10 +15,12 @@ import pytest
 from repro.core.simulator import simulate_workload
 from repro.harness.executors import COSTS_META, CostModel, WorkloadTask
 from repro.store import (
+    CACHE_FORMAT_VERSION,
     STORE_SCHEMA_VERSION,
     DiskStore,
     HTTPStore,
     SqliteStore,
+    decode_payload,
     encode_payload,
     make_store_server,
     open_store,
@@ -57,6 +60,14 @@ def store(request, tmp_path):
         server.shutdown()
         server.server_close()
         backing.close()
+
+
+def test_payload_of_the_previous_cache_version_decodes_as_a_miss(outcome):
+    assert decode_payload(encode_payload(outcome)) is not None
+    old = pickle.dumps({"version": CACHE_FORMAT_VERSION - 1,
+                        "timing": outcome.timing,
+                        "reno_config": outcome.reno_config})
+    assert decode_payload(old) is None
 
 
 def test_round_trip_and_contains(store, outcome):

@@ -9,6 +9,7 @@ stamped with that server's own wire version.
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -73,3 +74,22 @@ def test_error_envelope(running):
     assert code == 404
     assert payload == {"schema_version": version,
                        "error": "unknown path '/no/such/path'"}
+
+
+def test_keep_alive_replies_do_not_wait_for_delayed_acks(running):
+    """A reply writes its headers and body as two segments; with Nagle on,
+    the body waits for the client's delayed ACK (~40 ms per reply)."""
+    server, _route, version = running
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        start = time.perf_counter()
+        for _ in range(20):
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["schema_version"] == version
+        elapsed = time.perf_counter() - start
+    finally:
+        connection.close()
+    assert elapsed < 0.3, f"20 keep-alive replies took {elapsed:.3f} s"

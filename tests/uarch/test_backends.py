@@ -19,8 +19,10 @@ the fallback tests force that situation with ``REPRO_NO_CC=1`` and assert
 the degradation to python is silent and result-identical.
 """
 
+import ast
 import pickle
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from test_scheduler_equivalence import random_program
@@ -33,10 +35,11 @@ from repro.isa.registers import RegisterNames as R
 from repro.isa.semantics import mask64
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
 from repro.uarch.compiled import build
-from repro.uarch.compiled.emit import POINTERS, PT
-from repro.uarch.compiled.marshal import _TRACE_COLUMNS
+from repro.uarch.compiled.emit import ERR_INTERNAL, POINTERS, PT
+from repro.uarch.compiled.marshal import _TRACE_COLUMNS, KernelState
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
+from repro.workloads.base import get_workload
 
 SEEDS = [3, 59, 977]
 
@@ -65,12 +68,25 @@ def build_run(seed, length=200):
 
 
 def make_pipeline(program, trace, reno, backend, machine=None,
-                  record_stats=False):
+                  record_stats=False, collect_timing=False):
     machine = machine or MachineConfig.default_4wide()
     renamer = RenoRenamer(machine.num_physical_regs, reno) \
         if reno is not None else None
     return Pipeline(program, trace, machine, renamer=renamer,
-                    record_stats=record_stats, backend=backend)
+                    record_stats=record_stats, collect_timing=collect_timing,
+                    backend=backend)
+
+
+def critpath_workloads():
+    """The critical-path (fig9) workload subsets the benchmarks run, read
+    from ``benchmarks/conftest.py`` without importing it."""
+    conftest = Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py"
+    names = []
+    for node in ast.parse(conftest.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and node.targets[0].id.startswith("CRITPATH_")):
+            names += ast.literal_eval(node.value)
+    return names
 
 
 def stats_dict(result):
@@ -335,15 +351,120 @@ def test_requested_compiled_degrades_silently_without_toolchain(monkeypatch):
 
 
 @needs_compiled
-def test_timing_pipelines_run_on_the_python_reference():
-    """``collect_timing`` is unsupported by the kernel: the compiled
-    backend's ``supports()`` hands such pipelines to the reference loop."""
+def test_timing_pipelines_run_in_the_kernel(monkeypatch):
+    """``collect_timing`` pipelines are lowered: ``supports()`` accepts
+    them, the kernel runs their slices, and the columns it writes equal
+    the reference loop's."""
+    slices = []
+    marshal_out = KernelState.marshal_out
+
+    def counting_marshal_out(state, pipeline):      # runs only on ERR_OK
+        slices.append(pipeline)
+        marshal_out(state, pipeline)
+
+    monkeypatch.setattr(KernelState, "marshal_out", counting_marshal_out)
     program, trace = build_run(SEEDS[0], length=60)
     machine = MachineConfig.default_4wide()
     pipeline = Pipeline(program, trace, machine, collect_timing=True,
                         backend="compiled")
+    assert get_backend("compiled").supports(pipeline)
     timed = pipeline.run()
+    assert slices, "no slice ran in the kernel"
     reference = Pipeline(program, trace, machine, collect_timing=True,
                          backend="python").run()
     assert timed.timing_records == reference.timing_records
     assert_results_identical(timed, reference)
+
+
+def assert_timing_identical(program, trace, reno):
+    compiled_pipeline = make_pipeline(program, trace, reno, "compiled",
+                                      collect_timing=True)
+    compiled = compiled_pipeline.run()
+    python = make_pipeline(program, trace, reno, "python",
+                           collect_timing=True).run()
+    state = get_backend("compiled")._states[compiled_pipeline]
+    for column in compiled.timing_records.COLUMNS:
+        assert (state.arr[f"TM_{column.upper()}"]
+                is getattr(compiled.timing_records, column))
+    assert len(compiled.timing_records) == len(trace)
+    assert compiled.timing_records == python.timing_records
+    assert_results_identical(compiled, python)
+
+
+@needs_compiled
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+@pytest.mark.parametrize("workload", critpath_workloads())
+def test_timing_columns_match_python_on_critpath_workloads(workload,
+                                                           config_name):
+    """Every fig9 workload of the benchmark subsets, every fig9 config."""
+    program = get_workload(workload).build(1)
+    trace = FunctionalSimulator(program).run().trace
+    assert_timing_identical(program, trace, CONFIGS[config_name])
+
+
+@needs_compiled
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_timing_columns_match_python_on_random_programs(seed, config_name):
+    program, trace = build_run(seed)
+    assert_timing_identical(program, trace, CONFIGS[config_name])
+
+
+@needs_compiled
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+def test_timing_snapshot_handoff_across_backends(config_name):
+    """A timing pipeline handed python → compiled → python mid-run, by
+    snapshot/restore, fills the same columns as one uninterrupted run."""
+    program, trace = build_run(SEEDS[1])
+    reno = CONFIGS[config_name]
+    reference = make_pipeline(program, trace, reno, "python",
+                              collect_timing=True).run()
+
+    pipeline = make_pipeline(program, trace, reno, "python",
+                             collect_timing=True)
+    hops = 0
+    result = pipeline.run(max_cycles=113)
+    while not result.finished:
+        assert len(result.timing_records) == result.stats.committed
+        hops += 1
+        snapshot = pickle.loads(pickle.dumps(pipeline.snapshot()))
+        backend = "compiled" if hops % 2 else "python"
+        pipeline = make_pipeline(program, trace, reno, backend,
+                                 collect_timing=True)
+        pipeline.restore(snapshot)
+        result = pipeline.run(max_cycles=113)
+    assert hops >= 2, "program too short to exercise a backend hand-off"
+    assert result.timing_records == reference.timing_records
+    assert_results_identical(result, reference)
+
+
+@needs_compiled
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+@pytest.mark.parametrize("collect_timing", [False, True])
+def test_kernel_error_replays_the_slice_exactly(monkeypatch, collect_timing,
+                                                config_name):
+    """A kernel that runs every slice to the end and then reports
+    ERR_INTERNAL leaves no trace: the python replay of each slice — over
+    the timing columns the kernel already wrote in place — gives exactly
+    an all-python run's result."""
+    kernel = build.load_kernel()
+    calls = []
+
+    def failing_kernel(sc, pt, pages):
+        calls.append(kernel(sc, pt, pages))
+        return ERR_INTERNAL
+
+    monkeypatch.setattr(build, "load_kernel", lambda: failing_kernel)
+    program, trace = build_run(SEEDS[2])
+    reno = CONFIGS[config_name]
+    replayed_pipeline = make_pipeline(program, trace, reno, "compiled",
+                                      collect_timing=collect_timing)
+    replayed = replayed_pipeline.run(max_cycles=97)
+    while not replayed.finished:
+        replayed = replayed_pipeline.run(max_cycles=97)
+    python = make_pipeline(program, trace, reno, "python",
+                           collect_timing=collect_timing).run()
+    assert len(calls) > 1
+    assert replayed.timing_records == python.timing_records
+    assert (replayed.timing_records is None) == (not collect_timing)
+    assert_results_identical(replayed, python)

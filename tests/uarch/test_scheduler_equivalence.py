@@ -191,7 +191,7 @@ def run_pipeline(program, trace, machine, reno, reference: bool):
 
 def issue_schedule(result):
     """{seq: issue cycle} for every instruction that executed."""
-    return {record.seq: record.issue_cycle for record in result.timing_records}
+    return dict(enumerate(result.timing_records.issue))
 
 
 def stats_dict(result):
@@ -244,7 +244,7 @@ def test_reference_queue_actually_diverges_when_abused():
     schedule = issue_schedule(result)
     assert schedule, "expected executed instructions"
     # No instruction can issue on its dispatch cycle.
-    dispatch = {r.seq: r.dispatch_cycle for r in result.timing_records}
+    dispatch = result.timing_records.dispatch
     assert all(schedule[seq] > dispatch[seq] for seq in schedule
                if schedule[seq] >= 0)
 
@@ -265,8 +265,7 @@ def test_compiled_backend_matches_the_event_driven_loop(machine_name,
     """Three-way closure: the object-model reference pins the event-driven
     python loop (tests above), and the compiled kernel must match that loop
     on statistics and final architectural state — so all three agree.
-    (Timing records stay python-only: the kernel's ``supports()`` hands
-    ``collect_timing`` pipelines to the reference loop, see
+    (Timing columns get their own backend parity tests in
     ``tests/uarch/test_backends.py``.)"""
     program = random_program(31415).assemble()
     trace = FunctionalSimulator(program).run().trace

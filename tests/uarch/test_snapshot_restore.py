@@ -4,7 +4,7 @@ The contract under test (the incremental simulation API behind
 ``repro.api``): slicing a simulation with ``run(max_cycles=k)``, pickling a
 ``snapshot()`` between slices, restoring it into a *freshly constructed*
 pipeline and finishing there must be indistinguishable — stat for stat,
-register for register, timing record for timing record — from one
+register for register, timing column for timing column — from one
 uninterrupted ``run()``.  Seeded random programs (reusing the scheduler
 equivalence generator: ALU ops, moves, folds, loads, stores, loops) cover
 both the conventional and the RENO renamer, with and without timing
@@ -24,7 +24,7 @@ from repro.isa.assembler import Assembler
 from repro.isa.registers import RegisterNames as R
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
-from repro.uarch.snapshot import PipelineSnapshot, SnapshotError
+from repro.uarch.snapshot import SNAPSHOT_VERSION, PipelineSnapshot, SnapshotError
 
 SEEDS = [11, 101, 3301]
 
@@ -225,6 +225,18 @@ def test_restore_rejects_mismatched_inputs():
     timing = make_pipeline(program, trace, None, collect_timing=True)
     with pytest.raises(SnapshotError, match="collect_timing"):
         timing.restore(snapshot)
+
+
+def test_restore_refuses_a_snapshot_of_the_previous_version(tmp_path):
+    program, trace = build_run(SEEDS[0])
+    pipeline = make_pipeline(program, trace, None, collect_timing=True)
+    pipeline.run(max_cycles=100)
+    snapshot = pipeline.snapshot()
+    snapshot.version = SNAPSHOT_VERSION - 1
+    loaded = PipelineSnapshot.load(snapshot.save(tmp_path / "old.ckpt"))
+    fresh = make_pipeline(program, trace, None, collect_timing=True)
+    with pytest.raises(SnapshotError, match="version"):
+        fresh.restore(loaded)
 
 
 def addi_loop_run(step):
