@@ -8,15 +8,19 @@ baseline's, after normalising for runner speed.
 
 Normalisation: alongside the cycle-loop probe the baseline records a
 **calibration micro-loop** (:func:`benchmark_engine.calibrate` — a fixed
-pure-Python loop with the cycle loop's operation mix).  The gate re-runs
-the same micro-loop on the current runner and scales the baseline's
-instructions/s by ``baseline_calibration_s / local_calibration_s``: a
-machine that runs the calibration 2× slower is *expected* to run the cycle
-loop 2× slower, and only a slowdown beyond that ratio counts as a
-regression.  This lets the threshold be tight (default 1.25×) without
-false-failing on slower runners.  Baselines without a matching calibration
-record (older commits, or a calibration-version bump) fall back to the
-unnormalised comparison with the historical 1.5× threshold.
+pure-Python loop with the cycle loop's operation mix).  The gate runs the
+same micro-loop right before and right after every probe repeat and
+scales that repeat's instructions/s by ``local_calibration_s /
+baseline_calibration_s`` (the mean of the two local runs): a machine that
+runs the calibration 2× slower is *expected* to run the cycle loop 2×
+slower, and only a slowdown beyond that ratio counts as a regression.
+Calibrating next to each repeat tracks the load the probe itself sees on
+a shared runner; the gate compares the median of the per-repeat
+normalised rates with the baseline.  This lets the threshold be tight
+(default 1.25×) without false-failing on slower runners.  Baselines
+without a matching calibration record (older commits, or a
+calibration-version bump) fall back to the unnormalised comparison with
+the historical 1.5× threshold.
 
 The probe runs with occupancy recording **off** (``record_stats`` defaults
 to ``False`` everywhere), so this gate doubles as the observability
@@ -44,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -65,7 +70,8 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", type=Path, default=BASELINE,
                         help="committed BENCH_cycle_loop.json to gate against")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N probe repetitions (default 3)")
+                        help="probe repetitions; the gate takes the median "
+                             "(default 3)")
     parser.add_argument("--factor", type=float, default=None,
                         help="slowdown factor that fails the gate (default "
                              "$REPRO_PERF_SMOKE_FACTOR, else 1.25 when the "
@@ -80,27 +86,12 @@ def main(argv=None) -> int:
     baseline_ips = baseline["instructions_per_second"]
     workloads = baseline["workloads"]
 
-    from benchmark_engine import (  # noqa: E402  (sibling script)
-        CALIBRATION_VERSION,
-        calibrate,
-        time_fig8,
-    )
+    from benchmark_engine import CALIBRATION_VERSION  # noqa: E402
 
-    # Calibration: re-run the micro-loop here and scale the baseline's
-    # expectation by the measured runner-speed ratio.
     recorded = baseline.get("calibration") or {}
     calibrated = recorded.get("version") == CALIBRATION_VERSION \
         and recorded.get("seconds", 0) > 0
-    expected_ips = baseline_ips
-    local_calibration_s = None
-    if calibrated:
-        local_calibration_s = calibrate(args.repeats)
-        speed_ratio = recorded["seconds"] / local_calibration_s
-        expected_ips = baseline_ips * speed_ratio
-        print(f"perf smoke: calibration {local_calibration_s:.4f}s local vs "
-              f"{recorded['seconds']:.4f}s baseline "
-              f"(runner speed x{speed_ratio:.2f})")
-    else:
+    if not calibrated:
         print("perf smoke: baseline has no matching calibration record; "
               "using the unnormalised comparison")
 
@@ -125,14 +116,12 @@ def main(argv=None) -> int:
         return 1
     print("perf smoke: stats-off probe recorded nothing (off-mode path intact)")
 
-    _, loop_s, instructions = time_fig8(workloads, jobs=1, repeats=args.repeats)
-    measured_ips = instructions / loop_s
-    floor = expected_ips / factor
-
-    print(f"perf smoke: cycle loop {loop_s:.3f}s for {instructions} instructions")
-    print(f"perf smoke: measured {measured_ips:,.0f} instr/s, "
-          f"expected {expected_ips:,.0f} instr/s "
-          f"(committed baseline {baseline_ips:,.0f}), floor {floor:,.0f} "
+    measured_ips = probe_rate(workloads, args.repeats,
+                              recorded["seconds"] if calibrated else None)
+    floor = baseline_ips / factor
+    print(f"perf smoke: measured {measured_ips:,.0f} instr/s (baseline runner "
+          f"units), committed baseline {baseline_ips:,.0f} instr/s, ratio "
+          f"{measured_ips / baseline_ips:.3f}, floor {floor:,.0f} "
           f"(factor {factor:.2f}x)")
     if measured_ips < floor:
         print(f"perf smoke: FAIL — cycle loop is more than {factor:.2f}x "
@@ -140,14 +129,39 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    failures = gate_backends(args, factor, local_calibration_s)
+    failures = gate_backends(args, factor)
     if failures:
         return 1
     print("perf smoke: ok")
     return 0
 
 
-def gate_backends(args, factor: float, local_calibration_s: float | None) -> int:
+def probe_rate(workloads, repeats: int, baseline_calibration_s: float | None,
+               backend: str | None = None) -> float:
+    """Median over ``repeats`` fig8 probes of the committed-instructions/s,
+    each normalised to the baseline runner by a calibration taken right
+    before and right after that probe (unnormalised when
+    ``baseline_calibration_s`` is None)."""
+    from benchmark_engine import calibrate, time_fig8
+
+    rates = []
+    for _ in range(repeats):
+        before = calibrate(1) if baseline_calibration_s else None
+        _, loop_s, instructions = time_fig8(workloads, jobs=1, repeats=1,
+                                            backend=backend)
+        rate = instructions / loop_s
+        line = f"perf smoke: probe {loop_s:.3f}s for {instructions} instructions"
+        if baseline_calibration_s:
+            local_s = (before + calibrate(1)) / 2
+            rate *= local_s / baseline_calibration_s
+            line += (f", calibration {local_s:.4f}s local vs "
+                     f"{baseline_calibration_s:.4f}s baseline")
+        print(line)
+        rates.append(rate)
+    return statistics.median(rates)
+
+
+def gate_backends(args, factor: float) -> int:
     """Gate each *available* backend against ``BENCH_backends.json``.
 
     The per-backend baselines come from ``benchmark_engine.py --backend
@@ -157,7 +171,7 @@ def gate_backends(args, factor: float, local_calibration_s: float | None) -> int
     too: the primary gate above already measured it.  Returns the number
     of failing backends.
     """
-    from benchmark_engine import CALIBRATION_VERSION, calibrate, time_fig8
+    from benchmark_engine import CALIBRATION_VERSION
     from repro.uarch.backend import backend_names, get_backend
 
     backends_path = args.baseline.parent / "BENCH_backends.json"
@@ -167,12 +181,10 @@ def gate_backends(args, factor: float, local_calibration_s: float | None) -> int
         return 0
     payload = json.loads(backends_path.read_text())
     recorded = payload.get("calibration") or {}
-    speed_ratio = 1.0
+    baseline_calibration_s = None
     if (recorded.get("version") == CALIBRATION_VERSION
             and recorded.get("seconds", 0) > 0):
-        if local_calibration_s is None:
-            local_calibration_s = calibrate(args.repeats)
-        speed_ratio = recorded["seconds"] / local_calibration_s
+        baseline_calibration_s = recorded["seconds"]
 
     registered = set(backend_names())
     failures = 0
@@ -187,13 +199,13 @@ def gate_backends(args, factor: float, local_calibration_s: float | None) -> int
             print(f"perf smoke: backend {name}: unavailable on this runner; "
                   f"skipped")
             continue
-        _, loop_s, instructions = time_fig8(
-            payload["workloads"], jobs=1, repeats=args.repeats, backend=name)
-        measured = instructions / loop_s
-        expected = row["instructions_per_second"] * speed_ratio
+        measured = probe_rate(payload["workloads"], args.repeats,
+                              baseline_calibration_s, backend=name)
+        expected = row["instructions_per_second"]
         floor = expected / factor
-        print(f"perf smoke: backend {name}: measured {measured:,.0f} instr/s, "
-              f"expected {expected:,.0f}, floor {floor:,.0f} "
+        print(f"perf smoke: backend {name}: measured {measured:,.0f} instr/s "
+              f"(baseline runner units), committed baseline {expected:,.0f}, "
+              f"ratio {measured / expected:.3f}, floor {floor:,.0f} "
               f"(factor {factor:.2f}x)")
         if measured < floor:
             print(f"perf smoke: FAIL — {name} backend is more than "

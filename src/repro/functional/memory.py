@@ -18,8 +18,13 @@ class Memory:
     def __init__(self, initial: dict[int, int] | None = None):
         self._pages: dict[int, bytearray] = {}
         if initial:
+            # A byte never straddles a page: one pass, no write() calls.
+            pages = self._pages
             for address, value in initial.items():
-                self.write(address, 1, value)
+                page = pages.get(address >> 12)
+                if page is None:
+                    page = pages[address >> 12] = bytearray(PAGE_SIZE)
+                page[address & _PAGE_MASK] = value & 0xFF
 
     # -- internal page helpers -------------------------------------------
 

@@ -8,6 +8,7 @@ with the storage budget split three ways.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.isa.opcodes import OpClass, Opcode, spec_for
@@ -15,13 +16,14 @@ from repro.uarch.config import MachineConfig
 
 
 class SaturatingCounterTable:
-    """A table of 2-bit saturating counters indexed by a hashed key."""
+    """A table of 2-bit saturating counters indexed by a hashed key (an
+    ``array('q')``: the kernel's ``BP_*`` layout, marshalled by memcpy)."""
 
     def __init__(self, entries: int, initial: int = 1):
         if entries & (entries - 1):
             raise ValueError("counter table size must be a power of two")
         self._mask = entries - 1
-        self._counters = [initial] * entries
+        self._counters = array("q", [initial]) * entries
 
     def predict(self, index: int) -> bool:
         """Predicted direction for ``index`` (counter in the taken half)."""
@@ -50,28 +52,16 @@ class HybridPredictor:
         self.history = 0
         self._history_mask = entries - 1
 
-    def _indices(self, pc: int) -> tuple[int, int]:
-        base = (pc >> 2) & self._history_mask
-        return base, base ^ (self.history & self._history_mask)
-
     def predict(self, pc: int) -> bool:
         """Chooser-selected direction prediction for the branch at ``pc``."""
-        bimodal_index, gshare_index = self._indices(pc)
-        use_gshare = self.chooser.predict(bimodal_index)
-        if use_gshare:
-            return self.gshare.predict(gshare_index)
-        return self.bimodal.predict(bimodal_index)
+        base = (pc >> 2) & self._history_mask
+        if self.chooser.predict(base):
+            return self.gshare.predict(base ^ (self.history & self._history_mask))
+        return self.bimodal.predict(base)
 
     def update(self, pc: int, taken: bool) -> None:
         """Train both components, the chooser, and the global history."""
-        bimodal_index, gshare_index = self._indices(pc)
-        bimodal_correct = self.bimodal.predict(bimodal_index) == taken
-        gshare_correct = self.gshare.predict(gshare_index) == taken
-        if bimodal_correct != gshare_correct:
-            self.chooser.update(bimodal_index, gshare_correct)
-        self.bimodal.update(bimodal_index, taken)
-        self.gshare.update(gshare_index, taken)
-        self.history = ((self.history << 1) | int(taken)) & 0xFFFF
+        self.predict_and_update(pc, taken)
 
     def predict_and_update(self, pc: int, taken: bool) -> bool:
         """One-pass predict + train (same state changes as predict();
@@ -117,36 +107,58 @@ class HybridPredictor:
 
 
 class BranchTargetBuffer:
-    """Set-associative BTB mapping branch PCs to predicted targets."""
+    """Set-associative BTB mapping branch PCs to predicted targets.
+
+    ``tags``, ``targets`` and ``target_has`` (0 for a ``None`` target) hold
+    ``associativity`` slots per set, most recently used first, and
+    ``lengths`` the live ways per set: the kernel's ``BTB_*`` layout,
+    marshalled by memcpy.  :meth:`predict` and :meth:`update` leave every
+    slot as the two halves of the kernel's ``btb_check_target`` do, so even
+    dead slots past a set's length match byte for byte across backends.
+    """
 
     def __init__(self, entries: int, associativity: int):
         self.num_sets = max(1, entries // associativity)
         self.associativity = associativity
-        self._sets: list[list[tuple[int, int]]] = [[] for _ in range(self.num_sets)]
-
-    def _set_for(self, pc: int) -> list[tuple[int, int]]:
-        return self._sets[(pc >> 2) % self.num_sets]
+        ways = self.num_sets * associativity
+        self.tags = array("Q", bytes(8 * ways))
+        self.targets = array("Q", bytes(8 * ways))
+        self.target_has = array("q", bytes(8 * ways))
+        self.lengths = array("q", bytes(8 * self.num_sets))
 
     def predict(self, pc: int) -> int | None:
         """Predicted target for ``pc`` (None on a BTB miss); updates LRU."""
-        ways = self._set_for(pc)
-        for tag, target in ways:
-            if tag == pc:
-                ways.remove((tag, target))
-                ways.insert(0, (tag, target))
-                return target
-        return None
+        set_index = (pc >> 2) % self.num_sets
+        base = set_index * self.associativity
+        ways = self.tags[base:base + self.lengths[set_index]]
+        if pc not in ways:
+            return None
+        way = base + ways.index(pc)
+        if way != base:
+            for column in (self.tags, self.targets, self.target_has):
+                entry = column[way]
+                column[base + 1:way + 1] = column[base:way]
+                column[base] = entry
+        return self.targets[base] if self.target_has[base] else None
 
-    def update(self, pc: int, target: int) -> None:
-        """Install/refresh the mapping ``pc -> target`` (LRU replacement)."""
-        ways = self._set_for(pc)
-        for entry in ways:
-            if entry[0] == pc:
-                ways.remove(entry)
-                break
-        ways.insert(0, (pc, target))
-        if len(ways) > self.associativity:
-            ways.pop()
+    def update(self, pc: int, target: int | None) -> None:
+        """Install/refresh the mapping ``pc -> target`` (LRU replacement; a
+        rotation to MRU leaves the bytes of the kernel's drop-then-insert)."""
+        set_index = (pc >> 2) % self.num_sets
+        base = set_index * self.associativity
+        length = self.lengths[set_index]
+        ways = self.tags[base:base + length]
+        if pc in ways:
+            shift = ways.index(pc)
+        else:
+            shift = min(length, self.associativity - 1)
+            self.lengths[set_index] = shift + 1
+        if shift:
+            for column in (self.tags, self.targets, self.target_has):
+                column[base + 1:base + shift + 1] = column[base:base + shift]
+        self.tags[base] = pc
+        self.targets[base] = 0 if target is None else target
+        self.target_has[base] = 0 if target is None else 1
 
 
 class ReturnAddressStack:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.uarch.config import CacheConfig, MachineConfig
@@ -12,48 +13,59 @@ class Cache:
 
     Timing-only: the cache tracks which blocks are resident, not their data
     (data correctness is handled by the pipeline's own memory image).
+    ``tags`` (``associativity`` slots per set, most recently used first)
+    and ``lengths`` (live ways per set) are the compiled kernel's
+    ``CT_*``/``CL_*`` layout, marshalled by memcpy; the LRU shifts port
+    the kernel's ``cache_access_c`` statement for statement, so even dead
+    slots past a set's length match byte for byte across backends.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
         self.config = config
         self.name = name
         self.num_sets = config.num_sets
+        self.associativity = config.associativity
         self.block_shift = config.block_bytes.bit_length() - 1
         self.latency = config.latency
-        # Per set: list of tags in LRU order (index 0 = most recently used).
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+        self.tags = array("Q", bytes(8 * self.num_sets * self.associativity))
+        self.lengths = array("q", bytes(8 * self.num_sets))
         self.hits = 0
         self.misses = 0
 
-    def _locate(self, address: int) -> tuple[int, int]:
-        block = address >> self.block_shift
-        return block % self.num_sets, block // self.num_sets
-
     def lookup(self, address: int) -> bool:
         """Access the cache; returns True on hit and updates LRU/contents."""
-        block = address >> self.block_shift       # inlined _locate
-        ways = self._sets[block % self.num_sets]
+        block = address >> self.block_shift
+        set_index = block % self.num_sets
         tag = block // self.num_sets
-        if ways and ways[0] == tag:
+        tags = self.tags
+        assoc = self.associativity
+        base = set_index * assoc
+        length = self.lengths[set_index]
+        if length and tags[base] == tag:
             # MRU fast path: repeated accesses to the hottest block need no
             # LRU reshuffle at all.
             self.hits += 1
             return True
+        ways = tags[base:base + length]
         if tag in ways:
-            ways.remove(tag)
-            ways.insert(0, tag)
+            way = ways.index(tag)
+            tags[base + 1:base + way + 1] = ways[:way]
+            tags[base] = tag
             self.hits += 1
             return True
         self.misses += 1
-        ways.insert(0, tag)
-        if len(ways) > self.config.associativity:
-            ways.pop()
+        length = length + 1 if length < assoc else assoc
+        tags[base + 1:base + length] = ways[:length - 1]
+        tags[base] = tag
+        self.lengths[set_index] = length
         return False
 
     def contains(self, address: int) -> bool:
         """Non-updating presence check (used by tests)."""
-        set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        block = address >> self.block_shift
+        base = block % self.num_sets * self.associativity
+        length = self.lengths[block % self.num_sets]
+        return block // self.num_sets in self.tags[base:base + length]
 
     @property
     def accesses(self) -> int:
@@ -116,23 +128,16 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
 
     def _access(self, l1: Cache, address: int, now: int, is_write: bool) -> MemoryAccessResult:
-        # Inlined Cache.lookup with the MRU fast path first: L1 hits are the
-        # overwhelming majority of accesses and touch nothing but a counter.
+        # Cache.lookup's MRU fast path, inlined: L1 hits on the hottest block
+        # are the overwhelming majority of accesses.
         block = address >> l1.block_shift
-        ways = l1._sets[block % l1.num_sets]
-        tag = block // l1.num_sets
-        if ways and ways[0] == tag:
+        set_index = block % l1.num_sets
+        if (l1.lengths[set_index]
+                and l1.tags[set_index * l1.associativity] == block // l1.num_sets):
             l1.hits += 1
             return self._hit_results[l1][0]
-        if tag in ways:
-            ways.remove(tag)
-            ways.insert(0, tag)
-            l1.hits += 1
+        if l1.lookup(address):
             return self._hit_results[l1][0]
-        l1.misses += 1
-        ways.insert(0, tag)
-        if len(ways) > l1.config.associativity:
-            ways.pop()
         if self.l2.lookup(address):
             return self._hit_results[l1][1]
         miss_latency = self.l2.latency + self.config.memory_latency

@@ -69,7 +69,10 @@ class CompiledBackend(CycleLoopBackend):
         """
         if build.load_kernel() is None or not self.supports(pipeline):
             return
-        self._states[pipeline] = KernelState(pipeline)
+        try:
+            self._states[pipeline] = KernelState(pipeline)
+        except MarshalError:
+            pass        # run_cycles retries, fails again and delegates
 
     def run_cycles(self, pipeline, stop_cycle) -> None:
         """Run one slice in the kernel, or delegate it to the reference.
@@ -84,11 +87,10 @@ class CompiledBackend(CycleLoopBackend):
         if kernel is None or not self.supports(pipeline):
             pipeline._run_cycles(stop_cycle)
             return
-        state = self._states.get(pipeline)
-        if state is None:
-            state = KernelState(pipeline)
-            self._states[pipeline] = state
         try:
+            state = self._states.get(pipeline)
+            if state is None:
+                state = self._states[pipeline] = KernelState(pipeline)
             state.marshal_in(pipeline, stop_cycle)
         except MarshalError:
             pipeline._run_cycles(stop_cycle)

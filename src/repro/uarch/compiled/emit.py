@@ -30,7 +30,9 @@ kernel touched with the same value.
 
 from __future__ import annotations
 
+import functools
 import zlib
+from array import array
 
 from repro.isa.opcodes import Opcode, OpClass, spec_for
 from repro.uarch.inflight import TIMING_ELIMINATED, TIMING_LOAD, TimingColumns
@@ -182,8 +184,11 @@ _BRANCH_KINDS = (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
 _CTL_KINDS = {OpClass.JUMP: 1, OpClass.CALL: 2, OpClass.RET: 3}
 
 
-def opcode_tables() -> dict[str, list[int]]:
+@functools.cache
+def opcode_tables() -> dict[str, array]:
     """Per-opcode static tables, indexed by kernel opcode id.
+
+    Computed once per process; callers copy the shared arrays.
 
     Returns:
         ``crc``: zlib.crc32 of the opcode value string (the integration
@@ -196,7 +201,7 @@ def opcode_tables() -> dict[str, list[int]]:
     from repro.core.fusion import _CATEGORIES
     from repro.core.renamer import _STORE_TO_LOAD
 
-    crc, fusecat, s2l, branch, ctl = [], [], [], [], []
+    crc, fusecat, s2l, branch, ctl = (array("q") for _ in range(5))
     branch_kind = {op: i for i, op in enumerate(_BRANCH_KINDS)}
     for op in OPCODES:
         crc.append(zlib.crc32(op.value.encode("ascii")))

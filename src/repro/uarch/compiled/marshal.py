@@ -11,6 +11,9 @@ buffers; the ``TM_*`` slots likewise point at a timing pipeline's own
 rest of what is *static* — the decoded-op tables, the per-opcode tables,
 the machine geometry — and allocates every dynamic buffer once, so a
 ``run_cycles`` call only copies the *live* simulation state in and out.
+The caches, the BTB and the predictor's counter tables already keep their
+state in the kernel's layout, so each of their arrays crosses with one
+memcpy (see :meth:`KernelState._layout`).
 
 The contract that makes the replay-on-error strategy work:
 :meth:`KernelState.marshal_in` never mutates any Python object — it only
@@ -60,6 +63,19 @@ _TRACE_COLUMNS = (
     ("T_RHAS", "result_has"), ("T_EFF", "eff_addr"), ("T_SV", "store_value"),
     ("T_SVHAS", "store_value_has"), ("T_RS1", "rs1_value"),
     ("T_TAKEN", "taken"), ("T_TGT", "target_pc"), ("T_THAS", "target_has"),
+)
+
+#: ``W_*`` pointer-block member -> the
+#: :class:`~repro.uarch.inflight.InFlightWindow` list it is copied from and
+#: back to every slice.
+_WINDOW_ARRAYS = (
+    ("W_DISPATCH", "dispatch_cycle"), ("W_COMPLETE", "complete_cycle"),
+    ("W_VALUE", "value"), ("W_EFF", "eff_addr"), ("W_REPLAYED", "replayed"),
+    ("W_CLASS", "class_id"), ("W_WAITING", "waiting_ops"),
+    ("W_DEST", "dest_preg"), ("W_PREV", "prev_dest"),
+    ("W_ELIM", "elim_info"), ("W_FEXTRA", "fusion_extra"),
+    ("W_NSRC", "nsrc"), ("W_S0P", "src0_preg"), ("W_S0D", "src0_disp"),
+    ("W_S1P", "src1_preg"), ("W_S1D", "src1_disp"),
 )
 
 #: Unsigned-64 mask (python ints are unbounded; the ABI is 64-bit).
@@ -119,6 +135,12 @@ class MarshalError(Exception):
     the slice on the python loop instead; marshal-in has no side effects,
     so no cleanup is needed.
     """
+
+
+def _levels(caches):
+    """(short name, member) for the L1I, L1D and L2 members of a
+    :class:`~repro.uarch.cache.CacheHierarchy` or a machine config."""
+    return (("L1I", caches.l1i), ("L1D", caches.l1d), ("L2", caches.l2))
 
 
 def _pool_hash(page: int, mask: int) -> int:
@@ -182,11 +204,6 @@ class KernelState:
         self.btb_assoc = branch.btb.associativity
         self.ras_cap = branch.ras.entries
 
-        caches = pipeline.caches
-        self.cache_geom = {
-            "L1I": (caches.l1i, config.l1i), "L1D": (caches.l1d, config.l1d),
-            "L2": (caches.l2, config.l2),
-        }
         self.mshr_cap = config.max_outstanding_misses
         self.ss_entries = pipeline.store_sets.entries
 
@@ -198,6 +215,7 @@ class KernelState:
             self.arr[name] = getattr(trace, column)
         self._build_static(pipeline)
         self._alloc_dynamic(config)
+        self._layout(pipeline)          # MarshalError on a layout mismatch
         self._seed_geometry(pipeline)
         # Page-pool buffers grow on demand (see _ensure_pages).
         self._page_capacity = 0
@@ -251,22 +269,18 @@ class KernelState:
             "q", (op[9][1] if len(op[9]) > 1 else 0 for op in decoded))
 
         tables = emit.opcode_tables()
-        n_ops = len(emit.OPCODES)
         for name, key in (("O_CRC", "crc"), ("O_FUSECAT", "fusecat"),
                           ("O_S2L", "s2l"), ("O_BRANCH", "branch"),
                           ("O_CTL", "ctl")):
-            self._new(name, "q", n_ops)[:] = array("q", tables[key])
+            self.arr[name] = tables[key][:]
 
     def _alloc_dynamic(self, config) -> None:
         """Allocate every live-state buffer once (addresses stay stable)."""
         ws, np_, rs = self.wsize, self.num_pregs, self.rstride
-        for name in ("W_DISPATCH", "W_COMPLETE",
-                     "W_REPLAYED", "W_CLASS", "W_WAITING",
-                     "W_DEST", "W_PREV", "W_ELIM", "W_FEXTRA", "W_NSRC",
-                     "W_S0P", "W_S0D", "W_S1P", "W_S1D", "RRE_P", "RRE_D"):
-            self._new(name, "q", ws)
-        self._new("W_VALUE", "Q", ws)
-        self._new("W_EFF", "Q", ws)
+        for name, _field in _WINDOW_ARRAYS:
+            self._new(name, "Q" if name in ("W_VALUE", "W_EFF") else "q", ws)
+        self._new("RRE_P", "q", ws)
+        self._new("RRE_D", "q", ws)
         self._new("PRF_VAL", "Q", np_)
         self._new("PRF_RDY", "q", np_)
         self._new("READY", "q", 4 * rs)
@@ -307,10 +321,9 @@ class KernelState:
         self._new("BTB_THAS", "q", btb_ways)
         self._new("BTB_LEN", "q", self.btb_sets)
         self._new("RAS_STACK", "Q", self.ras_cap)
-        for short, (cache, _cfg) in self.cache_geom.items():
-            self._new(f"CT_{short}", "Q",
-                      cache.num_sets * cache.config.associativity)
-            self._new(f"CL_{short}", "q", cache.num_sets)
+        for short, cfg in _levels(config):
+            self._new(f"CT_{short}", "Q", cfg.num_sets * cfg.associativity)
+            self._new(f"CL_{short}", "q", cfg.num_sets)
         self._new("MSHR_T", "q", self.mshr_cap + 2)
         self._new("SSIT", "q", self.ss_entries)
         self._new("VIO_LOG", "q", self.vio_cap)
@@ -371,11 +384,11 @@ class KernelState:
         put("SQ_CAP", self.sq_cap)
         put("LQ_CAP", self.lq_cap)
         put("RSTRIDE", self.rstride)
-        for short, (cache, cfg) in self.cache_geom.items():
-            put(f"{short}_SETS", cache.num_sets)
+        for short, cfg in _levels(config):
+            put(f"{short}_SETS", cfg.num_sets)
             put(f"{short}_ASSOC", cfg.associativity)
             put(f"{short}_LAT", cfg.latency)
-            put(f"{short}_BSHIFT", cache.block_shift)
+            put(f"{short}_BSHIFT", cfg.block_bytes.bit_length() - 1)
         put("MEM_LAT", config.memory_latency)
         put("MSHR_CAP", self.mshr_cap)
         put("BP_MASK", self.bp_entries - 1)
@@ -449,31 +462,15 @@ class KernelState:
         self._in_fetch_index = pipeline._fetch_index
 
         # -- window (structure of arrays) ------------------------------
-        a["W_DISPATCH"][:] = array("q", window.dispatch_cycle)
-        a["W_COMPLETE"][:] = array("q", window.complete_cycle)
-        a["W_VALUE"][:] = array(
-            "Q", (0 if v is None else v for v in window.value))
-        a["W_EFF"][:] = array("Q", window.eff_addr)
-        a["W_REPLAYED"][:] = array("q", map(int, window.replayed))
-        a["W_CLASS"][:] = array("q", window.class_id)
-        a["W_WAITING"][:] = array("q", window.waiting_ops)
-        a["W_DEST"][:] = array("q", window.dest_preg)
-        a["W_PREV"][:] = array("q", window.prev_dest)
-        a["W_ELIM"][:] = array("q", window.elim_info)
-        a["W_FEXTRA"][:] = array("q", window.fusion_extra)
-        a["W_NSRC"][:] = array("q", window.nsrc)
-        a["W_S0P"][:] = array("q", window.src0_preg)
-        a["W_S0D"][:] = array("q", window.src0_disp)
-        a["W_S1P"][:] = array("q", window.src1_preg)
-        a["W_S1D"][:] = array("q", window.src1_disp)
-        rre_p, rre_d = a["RRE_P"], a["RRE_D"]
-        for i, rename in enumerate(window.rename):
-            if rename is not None and rename.eliminated:
-                rre_p[i] = rename.dest_preg
-                rre_d[i] = rename.dest_disp
-            else:
-                rre_p[i] = 0
-                rre_d[i] = 0
+        for name, field in _WINDOW_ARRAYS:
+            values = getattr(window, field)
+            if field == "value":
+                values = (0 if v is None else v for v in values)
+            a[name][:] = array(a[name].typecode, values)
+        shared = [r if r is not None and r.eliminated else None
+                  for r in window.rename]
+        a["RRE_P"][:] = array("q", (0 if r is None else r.dest_preg for r in shared))
+        a["RRE_D"][:] = array("q", (0 if r is None else r.dest_disp for r in shared))
 
         # -- physical register file ------------------------------------
         a["PRF_VAL"][:] = array("Q", pipeline.prf.values)
@@ -561,23 +558,13 @@ class KernelState:
         # -- renaming --------------------------------------------------
         self._marshal_in_rename(pipeline)
 
+        # -- caches, BTB and predictor tables (kernel layout: memcpy) ----
+        for name, component in self._layout(pipeline):
+            a[name][:] = component
+
         # -- branch prediction -----------------------------------------
         branch = pipeline.branch_unit
-        predictor = branch.direction
-        a["BP_BIM"][:] = array("q", predictor.bimodal._counters)
-        a["BP_GSH"][:] = array("q", predictor.gshare._counters)
-        a["BP_CHOOSER"][:] = array("q", predictor.chooser._counters)
-        sc[SC["BP_HIST"]] = predictor.history
-        btb_tag, btb_tgt, btb_thas = a["BTB_TAG"], a["BTB_TGT"], a["BTB_THAS"]
-        btb_len = a["BTB_LEN"]
-        assoc = self.btb_assoc
-        for set_index, ways in enumerate(branch.btb._sets):
-            btb_len[set_index] = len(ways)
-            base = set_index * assoc
-            for way, (tag, target) in enumerate(ways):
-                btb_tag[base + way] = tag
-                btb_tgt[base + way] = 0 if target is None else target
-                btb_thas[base + way] = 0 if target is None else 1
+        sc[SC["BP_HIST"]] = branch.direction.history
         stack = branch.ras._stack
         sc[SC["RAS_LEN"]] = len(stack)
         a["RAS_STACK"][:len(stack)] = array("Q", stack)
@@ -586,15 +573,8 @@ class KernelState:
         sc[SC["BTB_MISSES"]] = branch.btb_misses
         sc[SC["RAS_MISPRED"]] = branch.ras_mispredictions
 
-        # -- caches + MSHR ---------------------------------------------
-        for short, cache, cfg in self._cache_map(pipeline):
-            tags, lens = a[f"CT_{short}"], a[f"CL_{short}"]
-            cassoc = cfg.associativity
-            for set_index, ways in enumerate(cache._sets):
-                lens[set_index] = len(ways)
-                base = set_index * cassoc
-                for way, tag in enumerate(ways):
-                    tags[base + way] = tag
+        # -- cache counters + MSHR -------------------------------------
+        for short, cache in _levels(pipeline.caches):
             sc[SC[f"{short}_HITS"]] = cache.hits
             sc[SC[f"{short}_MISSES"]] = cache.misses
         times = pipeline.caches._mshr.completion_times
@@ -659,10 +639,9 @@ class KernelState:
             a["FREE_RING"][:len(free)] = array("q", free)
             sc[SC["GROUP_MASK"]] = 0
             return
-        rn_preg, rn_disp = a["RN_PREG"], a["RN_DISP"]
-        for i, mapping in enumerate(renamer.map_table._entries):
-            rn_preg[i] = mapping.preg
-            rn_disp[i] = mapping.disp
+        entries = renamer.map_table._entries
+        a["RN_PREG"][:len(entries)] = array("q", (m.preg for m in entries))
+        a["RN_DISP"][:len(entries)] = array("q", (m.disp for m in entries))
         rc = renamer.refcounts
         a["RC_COUNTS"][:] = array("q", rc.counts)
         free = rc._free
@@ -801,7 +780,7 @@ class KernelState:
         branch.mispredictions = sc[SC["BR_MISPRED"]]
         branch.btb_misses = sc[SC["BTB_MISSES"]]
         branch.ras_mispredictions = sc[SC["RAS_MISPRED"]]
-        for short, cache, _cfg in self._cache_map(pipeline):
+        for short, cache in _levels(pipeline.caches):
             cache.hits = sc[SC[f"{short}_HITS"]]
             cache.misses = sc[SC[f"{short}_MISSES"]]
         store_sets = pipeline.store_sets
@@ -809,22 +788,10 @@ class KernelState:
         store_sets._next_set_id = sc[SC["SS_NEXT_ID"]]
 
         # -- window (structure of arrays) ------------------------------
-        window.dispatch_cycle[:] = a["W_DISPATCH"].tolist()
-        window.complete_cycle[:] = a["W_COMPLETE"].tolist()
-        window.value[:] = a["W_VALUE"].tolist()
-        window.eff_addr[:] = a["W_EFF"].tolist()
-        window.replayed[:] = [bool(v) for v in a["W_REPLAYED"]]
-        window.class_id[:] = a["W_CLASS"].tolist()
-        window.waiting_ops[:] = a["W_WAITING"].tolist()
-        window.dest_preg[:] = a["W_DEST"].tolist()
-        window.prev_dest[:] = a["W_PREV"].tolist()
-        window.elim_info[:] = a["W_ELIM"].tolist()
-        window.fusion_extra[:] = a["W_FEXTRA"].tolist()
-        window.nsrc[:] = a["W_NSRC"].tolist()
-        window.src0_preg[:] = a["W_S0P"].tolist()
-        window.src0_disp[:] = a["W_S0D"].tolist()
-        window.src1_preg[:] = a["W_S1P"].tolist()
-        window.src1_disp[:] = a["W_S1D"].tolist()
+        for name, field in _WINDOW_ARRAYS:
+            getattr(window, field)[:] = (
+                [bool(v) for v in a[name]] if field == "replayed"
+                else a[name].tolist())
 
         # Slots (re)dispatched during the slice get their object-graph
         # companions rebuilt: the decoded tuple and, under RENO, a
@@ -962,31 +929,13 @@ class KernelState:
             if renamer.integration_table is not None:
                 self._marshal_out_it(renamer.integration_table)
 
-        # -- branch prediction -----------------------------------------
-        predictor = branch.direction
-        predictor.bimodal._counters[:] = a["BP_BIM"].tolist()
-        predictor.gshare._counters[:] = a["BP_GSH"].tolist()
-        predictor.chooser._counters[:] = a["BP_CHOOSER"].tolist()
-        predictor.history = sc[SC["BP_HIST"]]
-        btb_tag, btb_tgt, btb_thas = a["BTB_TAG"], a["BTB_TGT"], a["BTB_THAS"]
-        btb_len = a["BTB_LEN"]
-        assoc = self.btb_assoc
-        for set_index, ways in enumerate(branch.btb._sets):
-            base = set_index * assoc
-            ways[:] = [
-                (btb_tag[base + way],
-                 btb_tgt[base + way] if btb_thas[base + way] else None)
-                for way in range(btb_len[set_index])
-            ]
-        branch.ras._stack[:] = a["RAS_STACK"][:sc[SC["RAS_LEN"]]].tolist()
+        # -- caches, BTB and predictor tables (kernel layout: memcpy) ----
+        for name, component in self._layout(pipeline):
+            component[:] = a[name]
 
-        # -- caches + MSHR ---------------------------------------------
-        for short, cache, cfg in self._cache_map(pipeline):
-            tags, lens = a[f"CT_{short}"], a[f"CL_{short}"]
-            cassoc = cfg.associativity
-            for set_index, ways in enumerate(cache._sets):
-                base = set_index * cassoc
-                ways[:] = tags[base:base + lens[set_index]].tolist()
+        # -- branch prediction + MSHR ----------------------------------
+        branch.direction.history = sc[SC["BP_HIST"]]
+        branch.ras._stack[:] = a["RAS_STACK"][:sc[SC["RAS_LEN"]]].tolist()
         mshr = pipeline.caches._mshr
         mshr.completion_times[:] = a["MSHR_T"][:sc[SC["MSHR_LEN"]]].tolist()
 
@@ -1080,16 +1029,24 @@ class KernelState:
         table.insertions = sc[SC["ITC_INS"]]
         table.invalidations = sc[SC["ITC_INVAL"]]
 
-    @staticmethod
-    def _cache_map(pipeline):
-        """(short name, live cache, config) triples, fetched per call.
+    def _layout(self, pipeline):
+        """(pointer-block name, component array) for every structure kept
+        in the kernel's own layout, each checked against its buffer's
+        typecode and length (a slice assignment of another length would
+        silently resize the buffer): raises :class:`MarshalError`.
 
-        Component objects are looked up through the pipeline on every
-        marshal because a snapshot restore replaces them wholesale; only
-        the geometry (fixed by the config digest) is safe to cache.
-        """
-        caches = pipeline.caches
-        config = pipeline.config
-        return (("L1I", caches.l1i, config.l1i),
-                ("L1D", caches.l1d, config.l1d),
-                ("L2", caches.l2, config.l2))
+        Components are fetched through the pipeline on every call: a
+        snapshot restore replaces them wholesale."""
+        predictor, btb = pipeline.branch_unit.direction, pipeline.branch_unit.btb
+        layout = [("BP_BIM", predictor.bimodal._counters),
+                  ("BP_GSH", predictor.gshare._counters),
+                  ("BP_CHOOSER", predictor.chooser._counters),
+                  ("BTB_TAG", btb.tags), ("BTB_TGT", btb.targets),
+                  ("BTB_THAS", btb.target_has), ("BTB_LEN", btb.lengths)]
+        for short, cache in _levels(pipeline.caches):
+            layout += [(f"CT_{short}", cache.tags), (f"CL_{short}", cache.lengths)]
+        for name, component in layout:
+            buffer = self.arr[name]
+            if (component.typecode, len(component)) != (buffer.typecode, len(buffer)):
+                raise MarshalError(f"{name} does not match its kernel buffer")
+        return layout

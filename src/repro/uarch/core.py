@@ -340,7 +340,7 @@ class Pipeline:
             # results.
             stats = copy.deepcopy(stats)
             if records is not None:
-                records = records.retired_prefix()
+                records = records.prefix(records.count)
         return SimResult(
             stats=stats,
             config=self.config,
@@ -398,6 +398,9 @@ class Pipeline:
         a service checkpoints a time-sliced simulation to disk.
         """
         state = {name: getattr(self, name) for name in self._SNAPSHOT_STATE}
+        if self.timing_columns is not None:
+            # Unfetched entries hold the defaults; restore() pads them back.
+            state["timing_columns"] = self.timing_columns.prefix(self._fetch_index)
         return PipelineSnapshot(
             state=copy.deepcopy(state),
             config_digest=self.config.digest(),
@@ -423,6 +426,8 @@ class Pipeline:
         snapshot.validate_for(self)
         for name, value in snapshot.copy_state().items():
             setattr(self, name, value)
+        if self.timing_columns is not None:
+            self.timing_columns.pad(self._trace_length)
         self._bind_aliases()
 
     def _run_cycles(self, stop_cycle: int | None = None) -> None:

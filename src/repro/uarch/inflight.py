@@ -173,7 +173,9 @@ class TimingColumns:
 
     ``count`` is the number of retired instructions: entries at and past
     it belong to in-flight or not-yet-fetched instructions.  ``len()`` and
-    ``==`` cover the retired prefix only.
+    ``==`` cover the retired prefix only.  Entries of instructions not yet
+    fetched hold the defaults, so a snapshot carries only the fetched
+    :meth:`prefix`, and restore puts the rest back with :meth:`pad`.
     """
 
     COLUMNS = ("dispatch", "issue", "complete", "retire", "dcache_latency",
@@ -199,10 +201,17 @@ class TimingColumns:
             getattr(self, name)[:count] == getattr(other, name)[:count]
             for name in self.COLUMNS)
 
-    def retired_prefix(self) -> "TimingColumns":
-        """A detached copy holding only the retired entries."""
+    def prefix(self, length: int) -> "TimingColumns":
+        """A detached copy holding the first ``length`` entries."""
         prefix = TimingColumns.__new__(TimingColumns)
-        prefix.count = count = self.count
+        prefix.count = min(self.count, length)
         for name in self.COLUMNS:
-            setattr(prefix, name, getattr(self, name)[:count])
+            setattr(prefix, name, getattr(self, name)[:length])
         return prefix
+
+    def pad(self, length: int) -> None:
+        """Extend every column with default entries to ``length`` entries."""
+        defaults = TimingColumns(length)
+        for name in self.COLUMNS:
+            column = getattr(self, name)
+            column.extend(getattr(defaults, name)[len(column):])

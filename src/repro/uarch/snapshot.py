@@ -18,7 +18,9 @@ fingerprints (the config digest and the trace's column digest) and
 :meth:`PipelineSnapshot.validate_for` refuses a mismatch.
 This keeps checkpoints proportional to the *architected state*, not the
 trace length, which is what lets a long simulation be time-sliced by a
-service and parked on disk between slices.
+service and parked on disk between slices.  A timing pipeline's columns
+grow with the run, so the snapshot carries only the entries below the
+fetch cursor and ``restore()`` pads the rest with the column defaults.
 
 Exactness contract: ``run(max_cycles=k)`` → ``snapshot()`` → (new pipeline)
 → ``restore()`` → ``run()`` produces results byte-identical to a single
@@ -37,8 +39,10 @@ from pathlib import Path
 
 #: Bump whenever the snapshot payload layout changes incompatibly.
 #: Version 2 records the trace digest; version 3 carries timing as
-#: per-instruction columns and drops the live producer maps.
-SNAPSHOT_VERSION = 3
+#: per-instruction columns and drops the live producer maps; version 4
+#: stores caches, BTB and predictors in the kernel's typed-array layout
+#: and only the fetched prefix of the timing columns.
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(Exception):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.functional.memory import PAGE_SIZE, Memory
+from repro.workloads.base import list_workloads
 
 
 def test_untouched_memory_reads_zero():
@@ -89,3 +90,16 @@ def test_memory_matches_reference_dict(writes):
         reference[address] = value
     for address, value in reference.items():
         assert memory.read_byte(address) == value
+
+
+def test_initial_image_matches_byte_writes_on_every_workload():
+    """The constructor's one-pass page build gives exactly the pages (and
+    page order) of one ``write`` per initial byte."""
+    for workload in list_workloads():
+        initial = workload.build().initial_memory
+        reference = Memory()
+        for address, value in initial.items():
+            reference.write(address, 1, value)
+        built = Memory(initial)
+        assert list(built._pages.items()) == list(reference._pages.items()), \
+            workload.name

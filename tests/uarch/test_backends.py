@@ -21,7 +21,9 @@ the degradation to python is silent and result-identical.
 
 import ast
 import pickle
+from array import array
 from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -36,7 +38,7 @@ from repro.isa.semantics import mask64
 from repro.uarch.backend import backend_names, get_backend, resolve_backend
 from repro.uarch.compiled import build
 from repro.uarch.compiled.emit import ERR_INTERNAL, POINTERS, PT
-from repro.uarch.compiled.marshal import _TRACE_COLUMNS, KernelState
+from repro.uarch.compiled.marshal import _TRACE_COLUMNS, KernelState, MarshalError
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 from repro.workloads.base import get_workload
@@ -203,12 +205,18 @@ def to_plain(obj, on_path=None):
     Pickle bytes are unusable for cross-backend comparison: marshal-out
     rebuilds objects, so the python side's shared references become
     distinct (equal) objects and the pickle memo encodes them differently.
-    This projection compares *values only* — primitives pass through,
-    containers recurse, arbitrary objects become ``(classname, attrs)``
-    pairs, and reference cycles collapse to a marker.
+    This projection compares *values only* — primitives and enum members
+    pass through, typed arrays become ``('array', typecode, items)`` (every
+    slot, dead ones included) and byte arrays (memory pages) their bytes,
+    containers recurse, arbitrary objects become
+    ``(classname, attrs)`` pairs, and reference cycles collapse to a marker.
     """
-    if isinstance(obj, (int, float, str, bytes, bool, type(None))):
+    if isinstance(obj, (int, float, str, bytes, bool, type(None), Enum)):
         return obj
+    if isinstance(obj, array):
+        return ("array", obj.typecode, obj.tolist())
+    if isinstance(obj, bytearray):
+        return ("bytearray", bytes(obj))
     on_path = on_path or set()
     if id(obj) in on_path:
         return "<cycle>"
@@ -253,7 +261,8 @@ def canonical_snapshot(pipeline):
 @needs_compiled
 @pytest.mark.parametrize("seed", [SEEDS[0]])
 def test_lockstep_snapshots_match_every_slice(seed):
-    """Full mutable-state equality at every slice boundary, both backends.
+    """Full mutable-state equality at every slice boundary, both backends,
+    under every renamer configuration.
 
     ``snapshot()`` captures everything the cycle loop mutates (and is
     itself lint-enforced complete — ``snapshot-coverage``), so equal
@@ -263,23 +272,70 @@ def test_lockstep_snapshots_match_every_slice(seed):
     comparison well-defined.
     """
     program, trace = build_run(seed)
-    reno = RenoConfig.reno_default()
+    for config_name, reno in CONFIGS.items():
+        compiled_pipeline = make_pipeline(program, trace, reno, "compiled")
+        python_pipeline = make_pipeline(program, trace, reno, "python")
+        slice_cycles = 211      # a handful of mid-burst boundaries; the
+        slices = 0              # projection cost is per boundary, not per cycle
+        while True:
+            compiled = compiled_pipeline.run(max_cycles=slice_cycles)
+            python = python_pipeline.run(max_cycles=slice_cycles)
+            assert compiled.finished == python.finished
+            if compiled.finished:
+                break
+            slices += 1
+            assert (canonical_snapshot(compiled_pipeline)
+                    == canonical_snapshot(python_pipeline)), (
+                f"state diverged by slice {slices} (seed={seed}, {config_name})")
+        assert slices > 1
+        assert_results_identical(compiled, python)
+
+
+@needs_compiled
+@pytest.mark.parametrize("config_name", list(CONFIGS))
+def test_kernel_layout_arrays_match_python_every_slice(config_name):
+    """Caches, BTB and predictor tables share the kernel's layout and are
+    marshalled by memcpy, so after every slice a compiled pipeline's arrays
+    equal a python pipeline's byte for byte — the dead slots past each
+    set's length included, because both loops shift ways with the same
+    moves."""
+    program, trace = build_run(SEEDS[1])
+    reno = CONFIGS[config_name]
     compiled_pipeline = make_pipeline(program, trace, reno, "compiled")
     python_pipeline = make_pipeline(program, trace, reno, "python")
-    slice_cycles = 211          # a handful of mid-burst boundaries; the
-    slices = 0                  # projection cost is per boundary, not per cycle
+    layout = KernelState(compiled_pipeline)._layout
+    slices = 0
     while True:
-        compiled = compiled_pipeline.run(max_cycles=slice_cycles)
-        python = python_pipeline.run(max_cycles=slice_cycles)
-        assert compiled.finished == python.finished
+        compiled = compiled_pipeline.run(max_cycles=113)
+        python = python_pipeline.run(max_cycles=113)
+        slices += 1
+        for (name, ours), (_, reference) in zip(layout(compiled_pipeline),
+                                                layout(python_pipeline)):
+            assert ours.tobytes() == reference.tobytes(), (name, slices)
         if compiled.finished:
             break
-        slices += 1
-        assert (canonical_snapshot(compiled_pipeline)
-                == canonical_snapshot(python_pipeline)), (
-            f"state diverged by slice {slices} (seed={seed})")
     assert slices > 1
     assert_results_identical(compiled, python)
+
+
+@needs_compiled
+def test_kernel_layout_mismatch_runs_the_slice_on_python(monkeypatch):
+    """A component array of another length would be silently resized by
+    the memcpy into its kernel buffer; construction and marshal-in refuse
+    it with MarshalError instead, and the slice runs on the python loop."""
+    program, trace = build_run(SEEDS[0])
+    reference = make_pipeline(program, trace, None, "python").run()
+    pipeline = make_pipeline(program, trace, None, "compiled")
+    l2 = pipeline.caches.l2
+    l2.lengths = array("q", bytes(8 * (l2.num_sets + 1)))
+    with pytest.raises(MarshalError, match="CL_L2"):
+        KernelState(pipeline)
+    kernel, calls = build.load_kernel(), []
+    monkeypatch.setattr(build, "load_kernel", lambda: lambda *args: (
+        calls.append(args) or kernel(*args)))
+    assert_results_identical(pipeline.run(), reference)
+    assert not calls
+    assert len(l2.lengths) == l2.num_sets + 1
 
 
 @needs_compiled

@@ -25,6 +25,7 @@ from repro.isa.registers import RegisterNames as R
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import Pipeline
 from repro.uarch.snapshot import SNAPSHOT_VERSION, PipelineSnapshot, SnapshotError
+from repro.workloads.base import get_workload
 
 SEEDS = [11, 101, 3301]
 
@@ -237,6 +238,41 @@ def test_restore_refuses_a_snapshot_of_the_previous_version(tmp_path):
     fresh = make_pipeline(program, trace, None, collect_timing=True)
     with pytest.raises(SnapshotError, match="version"):
         fresh.restore(loaded)
+
+
+def gzip_like_run():
+    program = get_workload("gzip_like").build()
+    return program, FunctionalSimulator(program).run().trace
+
+
+def test_timing_snapshot_carries_only_the_fetched_prefix():
+    """Past the fetch cursor every timing column still holds its default,
+    so a timing snapshot grows with the fetched prefix, not the trace."""
+    program, trace = gzip_like_run()
+    sizes = {}
+    for collect_timing in (False, True):
+        pipeline = make_pipeline(program, trace, CONFIGS["RENO"], collect_timing)
+        pipeline.run(max_cycles=2000)
+        sizes[collect_timing] = len(pickle.dumps(pipeline.snapshot()))
+    fetched = pipeline._fetch_index
+    assert 0 < fetched < len(trace) // 2
+    entry_bytes = 9 * 8 + 1          # nine int64 columns and one byte column
+    assert sizes[True] - sizes[False] <= entry_bytes * fetched + 4096
+
+
+def test_timing_snapshot_restores_and_finishes_like_one_run():
+    program, trace = gzip_like_run()
+    reno = CONFIGS["RENO"]
+    reference = make_pipeline(program, trace, reno, collect_timing=True).run()
+    pipeline = make_pipeline(program, trace, reno, collect_timing=True)
+    pipeline.run(max_cycles=2000)
+    snapshot = pickle.loads(pickle.dumps(pipeline.snapshot()))
+    restored = make_pipeline(program, trace, reno, collect_timing=True)
+    restored.restore(snapshot)
+    columns = restored.timing_columns
+    assert all(len(getattr(columns, name)) == len(trace)
+               for name in columns.COLUMNS)
+    assert_results_identical(restored.run(), reference)
 
 
 def addi_loop_run(step):
